@@ -23,9 +23,9 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import CalibrationError, PulseSpec, SystemParams, digital_state
+from .core import CalibrationError, PulseSpec, SystemParams
 from .gates import cn_matrix, gate_fidelity, tomography
-from .propagator import build_generator, evolve_exact
+from .propagator import build_generator, pi_transfer
 
 __all__ = [
     "calibrate_pi_duration",
@@ -40,13 +40,6 @@ _FREE_ORDER = ("omega1", "a2", "duration")
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _transfer(params: SystemParams, pulse_template: PulseSpec, tau: float) -> float:
-    """Population moved from |11> to |10> after a pulse of length tau."""
-    gen = build_generator(params, pulse_template)
-    final = evolve_exact(digital_state("11"), gen, tau)
-    return abs(final.c10) ** 2
-
-
 def calibrate_pi_duration(
     params: SystemParams,
     pulse_template: PulseSpec,
@@ -57,7 +50,8 @@ def calibrate_pi_duration(
 
     Golden-section search on [bracket[0], bracket[1]] * (pi / a2), refined
     until the bracket is narrower than rel_tol * (pi / a2).  The template's
-    own duration is ignored.
+    own duration is ignored.  B is diagonalized once; every probe is the
+    closed-form `pi_transfer` on that eigensystem.
 
     Raises
     ------
@@ -65,17 +59,26 @@ def calibrate_pi_duration(
         If the search converges onto a bracket endpoint, i.e. there is no
         interior maximum; the endpoint transfer values are reported.
     ValueError
-        If a2 is not positive (no resonant drive, no pi condition).
+        If a2 is not positive (no resonant drive, no pi condition), the
+        bracket is not 0 <= bracket[0] < bracket[1] < inf, or rel_tol is
+        not positive.
     """
     if pulse_template.a2 <= 0:
         raise ValueError("pi-pulse calibration requires a2 > 0")
+    if not 0.0 <= bracket[0] < bracket[1] < np.inf:
+        raise ValueError(
+            f"bracket {tuple(bracket)!r} (in units of pi/a2) must satisfy "
+            "0 <= bracket[0] < bracket[1] < inf"
+        )
+    if not rel_tol > 0:
+        # the refinement loop would never stop, or (nan) never start
+        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
     tau_nominal = np.pi / pulse_template.a2
     lo, hi = bracket[0] * tau_nominal, bracket[1] * tau_nominal
-    if not lo < hi:
-        raise ValueError(f"invalid bracket {bracket}")
     tol = rel_tol * tau_nominal
 
-    f = lambda tau: _transfer(params, pulse_template, tau)
+    lam, v = build_generator(params, pulse_template).eigensystem()
+    f = lambda tau: pi_transfer(lam, v, tau)
     f_lo, f_hi = f(lo), f(hi)
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)

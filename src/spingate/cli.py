@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,9 @@ from .core import (
     ResonanceError,
     SystemParams,
     TimeSeries,
-    digital_state,
 )
 from .gates import cn_matrix, extract_gcn_phases, gate_fidelity, tomography
-from .propagator import run_timeseries
+from .propagator import build_generator, pi_transfer, run_timeseries
 
 __all__ = [
     "main",
@@ -179,9 +179,10 @@ def cmd_calibrate(config: RunConfig, args) -> int:
 
     duration = _resolve_duration(config)
     if args.pi_duration:
-        tuned = _replace_duration(tuned, duration)
+        tuned = replace(tuned, duration=duration)
         report_comments.append(f"# pi_duration = {duration!r}")
-        transfer = _pi_transfer(config, duration)
+        lam, v = build_generator(config.system, config.pulse(duration)).eigensystem()
+        transfer = pi_transfer(lam, v, duration)
         report_comments.append(f"# transfer_at_pi_duration = {transfer!r}")
         print(f"calibrate: pi-pulse duration = {duration!r} (transfer {transfer:.9f})")
 
@@ -196,16 +197,12 @@ def cmd_calibrate(config: RunConfig, args) -> int:
             objective_tol=args.tol,
         )
         result = tune_pure_cn(config.system, config.pulse(duration), spec)
-        tuned = RunConfig(
+        tuned = replace(
+            tuned,
             system=result.params,
-            carrier=tuned.carrier,
             a1=result.pulse.a1,
             a2=result.pulse.a2,
             duration=result.pulse.duration,
-            initial=tuned.initial,
-            frame=tuned.frame,
-            sample_dt=tuned.sample_dt,
-            out=tuned.out,
         )
         report_comments.append(f"# objective = {result.objective!r}")
         report_comments.append(f"# converged = {str(result.converged).lower()}")
@@ -227,27 +224,6 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     else:
         print(report, end="")
     return status
-
-
-def _pi_transfer(config: RunConfig, duration: float) -> float:
-    from .propagator import build_generator, evolve_exact
-
-    gen = build_generator(config.system, config.pulse(duration))
-    return abs(evolve_exact(digital_state("11"), gen, duration).c10) ** 2
-
-
-def _replace_duration(config: RunConfig, duration: float) -> RunConfig:
-    return RunConfig(
-        system=config.system,
-        carrier=config.carrier,
-        a1=config.a1,
-        a2=config.a2,
-        duration=duration,
-        initial=config.initial,
-        frame=config.frame,
-        sample_dt=config.sample_dt,
-        out=config.out,
-    )
 
 
 _SWEEPABLE = ("omega1", "a1", "a2", "duration")

@@ -26,6 +26,7 @@ __all__ = [
     "Generator",
     "build_generator",
     "evolve_exact",
+    "pi_transfer",
     "evolve_rk4",
     "free_evolve",
     "to_primed",
@@ -53,9 +54,15 @@ class Generator:
         object.__setattr__(self, "matrix_b", b)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and orthonormal eigenvectors of B (columns of V)."""
+        """Eigenvalues and orthonormal eigenvectors of B (columns of V).
+
+        The package's one spectral step: B does not depend on the duration,
+        so each parameter point is diagonalized once and every quantity
+        (states, gates, transfers) follows in closed form from (lam, V).
+        """
         if not np.all(np.isfinite(self.matrix_b)):
             raise ValueError("generator contains non-finite entries")
+        # looked up per call, so a wrapper put on numpy.linalg sees every one
         return np.linalg.eigh(self.matrix_b)
 
 
@@ -99,6 +106,16 @@ def evolve_exact(state: QState, gen: Generator, t: float) -> QState:
     lam, v = gen.eigensystem()
     evolved = (v * np.exp(0.5j * lam * t)) @ (v.T @ state.amps)
     return QState(evolved)
+
+
+def pi_transfer(lam: np.ndarray, v: np.ndarray, t: float) -> float:
+    """Population |c10(t)|^2 reached from |11>, read off the eigensystem of B.
+
+    Closed form of `evolve_exact` for that one amplitude:
+    c10(t) = sum_k V[2,k] V[3,k] exp(i lam_k t / 2), so a duration scan
+    needs one eigendecomposition however many durations it tries.
+    """
+    return float(abs(np.dot(v[2] * v[3], np.exp(0.5j * lam * t))) ** 2)
 
 
 def evolve_rk4(state: QState, gen: Generator, t: float, dt: float) -> QState:

@@ -34,3 +34,17 @@ def pulse24_template(params24):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240815)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts calls to numpy.linalg.eigh made while the test runs."""
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls

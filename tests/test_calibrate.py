@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,23 @@ class TestCalibratePiDuration:
         with pytest.raises(ValueError, match="a2"):
             calibrate_pi_duration(params12, template)
 
+    @pytest.mark.parametrize("bracket", [(-0.1, 1.2), (1.2, 0.8), (0.8, np.inf)])
+    def test_invalid_bracket_rejected(self, params12, bracket):
+        template = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
+        with pytest.raises(ValueError, match=r"bracket \(.*\) .*must satisfy"):
+            calibrate_pi_duration(params12, template, bracket=bracket)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-6, np.nan])
+    def test_nonpositive_rel_tol_rejected(self, params12, rel_tol):
+        template = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
+        with pytest.raises(ValueError, match="rel_tol"):
+            calibrate_pi_duration(params12, template, rel_tol=rel_tol)
+
+    def test_diagonalizes_once(self, params12, eigh_calls):
+        template = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
+        calibrate_pi_duration(params12, template)
+        assert len(eigh_calls) == 1
+
     def test_no_interior_maximum_reports_endpoints(self, params12):
         template = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
         # transfer decreases monotonically past the pi condition, so a
@@ -76,6 +95,10 @@ class TestPureCnObjective:
         )
         objective = pure_cn_objective(params24, pulse)
         assert objective == pytest.approx(0.16625, abs=2e-3)
+
+    def test_diagonalizes_once(self, params12, pulse12, eigh_calls):
+        pure_cn_objective(params12, pulse12)
+        assert len(eigh_calls) == 1
 
     def test_matches_fidelity_definition(self, params12, pulse12):
         objective = pure_cn_objective(params12, pulse12)
@@ -128,6 +151,20 @@ class TestTunePureCn:
         assert first.pulse == second.pulse
         assert first.objective == second.objective
         assert first.evaluations == second.evaluations
+
+    def test_one_diagonalization_per_evaluation(self, params12, pulse12, eigh_calls):
+        spec = SearchSpec(free=("omega1", "a2", "duration"), tie_a1=True)
+        result = tune_pure_cn(params12, pulse12, spec)
+        assert len(eigh_calls) == result.evaluations
+
+    def test_recalibrated_duration_search(self, params12, pulse12):
+        spec = SearchSpec(free=("omega1", "a2"), tie_a1=True, recalibrate_duration=True)
+        result = tune_pure_cn(params12, pulse12, spec)
+        assert result.converged
+        assert result.objective <= spec.objective_tol
+        template = replace(result.pulse, duration=0.0)
+        assert result.pulse.duration == calibrate_pi_duration(result.params, template)
+        assert tune_pure_cn(params12, pulse12, spec) == result
 
     def test_amplitude_only_search_cannot_converge(self, params12, pulse12):
         result = tune_pure_cn(params12, pulse12, SearchSpec(free=("a2",)))

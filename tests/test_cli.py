@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spingate import calibrate_pi_duration
 from spingate.cli import CSV_HEADER, main, read_timeseries_csv
 from spingate.config import PARAMS24_DURATION, parse_config
 
@@ -175,6 +176,18 @@ class TestCalibrate:
         values, _ = read_report(out)
         assert values["converged"] == "false"
         assert float(values["objective"]) > 1e-3
+
+    def test_recalibrated_duration_search(self, tmp_path):
+        out = tmp_path / "recal.cfg"
+        code = run_cli(
+            "calibrate", "--preset", "params12", "--pure-cn", "--free", "omega1,a2",
+            "--tie-a1", "--recalibrate-duration", "--out", str(out),
+        )
+        assert code == 0
+        values, _ = read_report(out)
+        assert values["converged"] == "true"
+        tuned = parse_config(out.read_text())
+        assert tuned.duration == calibrate_pi_duration(tuned.system, tuned.pulse(0.0))
 
     def test_requires_a_task_flag(self, tmp_path):
         code = run_cli("calibrate", "--preset", "params12")

@@ -10,6 +10,7 @@ from spingate import (
     Generator,
     PulseSpec,
     ResonanceError,
+    SystemParams,
     build_generator,
     digital_state,
     evolve_exact,
@@ -19,8 +20,10 @@ from spingate import (
     run_timeseries,
     superposition_state,
     to_primed,
+    tomography,
 )
 from spingate.config import EQ21_AMPS
+from spingate.propagator import pi_transfer
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +120,68 @@ class TestEvolveExact:
         two_step = evolve_exact(evolve_exact(state, gen12, t1), gen12, t2)
         one_step = evolve_exact(state, gen12, t1 + t2)
         assert np.max(np.abs(two_step.amps - one_step.amps)) < 1e-10
+
+
+def _pi_calibration_points(n=20, seed=20261017):
+    """(omega1, omega2, J, a1, a2, tau) drawn from the pi-calibration benchmark ranges."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(n):
+        j = 5.0 * rng.uniform(0.96, 1.04)
+        omega1 = 500.0 * rng.uniform(0.98, 1.02)
+        omega2 = 100.0 * rng.uniform(0.98, 1.02)
+        a2 = j * rng.uniform(0.012, 0.018)
+        a1 = 0.5 * rng.uniform(0.8, 1.2)
+        tau = np.pi / a2 * rng.uniform(0.8, 1.2)
+        points.append((omega1, omega2, j, a1, a2, tau))
+    return points
+
+
+class TestSpectralKernel:
+    """Closed forms read off one eigensystem, checked against scipy's expm."""
+
+    @pytest.mark.parametrize("point", _pi_calibration_points())
+    def test_transfer_and_gates_match_expm(self, point):
+        omega1, omega2, j, a1, a2, tau = point
+        params = SystemParams(omega1, omega2, j)
+        pulse = PulseSpec(carrier=params.resonant_carrier, a1=a1, a2=a2, duration=tau)
+        # B and the primed phases written out independently of the package
+        b = np.array(
+            [
+                [-2.0 * (omega2 - omega1 - 2.0 * j), a2, a1, 0.0],
+                [a2, -2.0 * (omega2 - omega1), 0.0, a1],
+                [a1, 0.0, 0.0, a2],
+                [0.0, a1, a2, 0.0],
+            ]
+        )
+        raw = scipy.linalg.expm(0.5j * b * tau)
+        rates = np.array([omega2 - omega1 - 2.0 * j, omega2 - omega1, 0.0, 0.0])
+        primed = np.exp(1j * rates * tau)[:, None] * raw
+        lam, v = build_generator(params, pulse).eigensystem()
+        # the phases reach max|lam| tau / 2 ~ 2e4 rad, so an ulp of lam or of
+        # the phase argument moves an entry by ~eps max|lam| tau / 2 ~ 4e-12;
+        # against a 40-digit mpmath expm the eigh path measured up to 2.0e-11
+        # (about 5 such units) and scipy's expm up to 4.4e-12 at these ranges
+        tol = 16.0 * np.finfo(float).eps * np.max(np.abs(lam)) * tau / 2.0
+        errors = {
+            "transfer": abs(pi_transfer(lam, v, tau) - abs(raw[2, 3]) ** 2),
+            "raw gate": float(np.max(np.abs(tomography(params, pulse, frame="raw") - raw))),
+            "primed gate": float(
+                np.max(np.abs(tomography(params, pulse, frame="primed") - primed))
+            ),
+        }
+        assert max(errors.values()) <= tol, f"errors vs expm {errors} exceed {tol:.3e}"
+
+    def test_transfer_matches_evolve_exact(self, gen12, tau12):
+        lam, v = gen12.eigensystem()
+        for t in (0.0, 7.3, tau12, 45.0):
+            final = evolve_exact(digital_state("11"), gen12, t)
+            assert pi_transfer(lam, v, t) == pytest.approx(abs(final.c10) ** 2, abs=1e-14)
+
+    @pytest.mark.parametrize("frame", ["raw", "primed"])
+    def test_tomography_diagonalizes_once(self, params12, pulse12, frame, eigh_calls):
+        tomography(params12, pulse12, frame=frame)
+        assert len(eigh_calls) == 1
 
 
 class TestEvolveRk4:
