@@ -12,7 +12,9 @@ leaves the gate phases misaligned.  Aligning all four requires small joint
 shifts of the system and pulse parameters; `tune_pure_cn` performs that
 search with a derivative-free Nelder-Mead simplex, deterministic by
 construction (fixed initial simplex, deterministic restarts, no
-randomness).
+randomness).  The simplex method is implemented here, move for move as in
+`scipy.optimize.minimize(method="Nelder-Mead")`, so the package needs only
+numpy at run time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import CalibrationError, PulseSpec, SystemParams
 from .gates import cn_matrix, gate_fidelity, tomography
@@ -162,12 +163,21 @@ class SearchSpec:
             raise ValueError("at least one free parameter is required")
         object.__setattr__(self, "free", free)
         for name in free:
-            if self.window_for(name) <= 0:
-                raise ValueError(f"search window for {name} must be positive")
-        if self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be >= 1")
-        if self.objective_tol <= 0:
-            raise ValueError("objective_tol must be positive")
+            window = self.window_for(name)
+            if not 0.0 < window < np.inf:
+                raise ValueError(
+                    f"search window for {name} must be positive and finite, got {window!r}"
+                )
+        if not isinstance(self.max_evaluations, (int, np.integer)) or self.max_evaluations < 1:
+            # a nan or inf budget would never be spent
+            raise ValueError(
+                f"max_evaluations must be an integer >= 1, got {self.max_evaluations!r}"
+            )
+        if not 0.0 < self.objective_tol < np.inf:
+            # nan never converges and inf converges at once, whatever the objective
+            raise ValueError(
+                f"objective_tol must be positive and finite, got {self.objective_tol!r}"
+            )
 
     def window_for(self, name: str) -> float:
         if isinstance(self.rel_window, Mapping):
@@ -184,10 +194,6 @@ class TuneResult:
     objective: float
     converged: bool
     evaluations: int
-
-
-class _ToleranceReached(Exception):
-    pass
 
 
 def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> TuneResult:
@@ -239,30 +245,13 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
             state["best_point"] = (cand_params, cand_pulse)
         return value
 
-    def run_simplex(z0: np.ndarray, simplex: np.ndarray) -> None:
-        remaining = spec.max_evaluations - state["evals"]
-        if remaining < 1:
-            return
-
-        def stop_when_done(_zk):
-            if state["best_val"] <= spec.objective_tol:
-                raise StopIteration
-
-        try:
-            minimize(
-                objective,
-                z0,
-                method="Nelder-Mead",
-                callback=stop_when_done,
-                options={
-                    "initial_simplex": simplex,
-                    "maxfev": remaining,
-                    "xatol": 1e-12,
-                    "fatol": 1e-15,
-                },
-            )
-        except StopIteration:
-            pass
+    def run_simplex(simplex) -> None:
+        _nelder_mead(
+            objective,
+            simplex,
+            max_evals=spec.max_evaluations - state["evals"],
+            done=lambda: state["best_val"] <= spec.objective_tol,
+        )
 
     ndim = len(spec.free)
     # fixed initial simplex: start plus +0.25%-of-start per coordinate
@@ -272,7 +261,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         vertex = z0.copy()
         vertex[k] = min(1.0, 0.0025 * abs(centers[k]) / windows[k])
         simplex.append(vertex)
-    run_simplex(z0, np.array(simplex))
+    run_simplex(simplex)
 
     # deterministic reseeding while budget remains and tolerance is unmet
     grid_points = {1: 65, 2: 13, 3: 7}[ndim]
@@ -289,7 +278,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         zb = _normalized(state["best_point"], spec, centers, windows)
         size = 0.02 / stage
         shrunk = [zb] + [zb + size * np.eye(ndim)[k] for k in range(ndim)]
-        run_simplex(zb, np.array(shrunk))
+        run_simplex(shrunk)
         if stage >= 8:
             break
 
@@ -301,6 +290,78 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         converged=bool(state["best_val"] <= spec.objective_tol),
         evaluations=int(state["evals"]),
     )
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def _nelder_mead(f, simplex, max_evals: int, done) -> None:
+    """Minimize f from `simplex` (n+1 vertices of length n) by the Nelder-Mead method.
+
+    Standard coefficients: reflection 1, expansion 2, outside and inside
+    contraction 1/2, shrink 1/2 (Nelder & Mead, Comput. J. 7, 1965;
+    Lagarias et al., SIAM J. Optim. 9, 1998).  The simplex is sorted after
+    the initial evaluation and after every iteration.  Before each
+    iteration the search stops once the simplex spread is <= 1e-12 and the
+    value spread <= 1e-15; after each completed iteration it stops when
+    `done()` is true.  At most `max_evals` evaluations are made: one past
+    the budget is not made and its iteration is abandoned.  Every move,
+    tie break and stop matches scipy.optimize.minimize(method="Nelder-Mead")
+    given the same simplex, maxfev and xatol/fatol, evaluation for
+    evaluation.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    evals = 0
+
+    def evaluate(x: np.ndarray) -> float:
+        nonlocal evals
+        if evals >= max_evals:
+            raise _BudgetSpent
+        evals += 1
+        return f(np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        while not (
+            np.max(np.abs(sim[1:] - sim[0])) <= 1e-12
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-15
+        ):
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = evaluate(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = evaluate(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = evaluate(sim[j])
+            order = np.argsort(fsim)
+            sim, fsim = sim[order], fsim[order]
+            if done():
+                return
+    except _BudgetSpent:
+        return
 
 
 def _normalized(point, spec: SearchSpec, centers: np.ndarray, windows: np.ndarray) -> np.ndarray:

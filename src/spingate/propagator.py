@@ -218,8 +218,8 @@ def run_timeseries(
     generator is diagonalized once).  The final row is at exactly the pulse
     duration even when that is not a multiple of `sample_dt`.
     """
-    if sample_dt <= 0:
-        raise ValueError(f"sample_dt must be positive, got {sample_dt}")
+    if not 0.0 < sample_dt < np.inf:
+        raise ValueError(f"sample_dt must be positive and finite, got {sample_dt!r}")
     if frame not in ("raw", "primed"):
         raise ValueError(f"frame must be 'raw' or 'primed', got {frame!r}")
     gen = build_generator(params, pulse)

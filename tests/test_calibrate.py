@@ -123,6 +123,24 @@ class TestSearchSpec:
         with pytest.raises(ValueError, match="window"):
             SearchSpec(free=("a2",), rel_window=0.0)
 
+    @pytest.mark.parametrize("window", [np.nan, np.inf, -0.01])
+    def test_nonfinite_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window for a2 must be positive and finite"):
+            SearchSpec(free=("a2",), rel_window=window)
+        with pytest.raises(ValueError, match="window for omega1 must be positive and finite"):
+            SearchSpec(free=("omega1", "a2"), rel_window={"omega1": window, "a2": 0.01})
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-6])
+    def test_bad_objective_tol_rejected(self, tol):
+        # nan used to burn the whole budget, inf to report convergence at once
+        with pytest.raises(ValueError, match="objective_tol must be positive and finite"):
+            SearchSpec(free=("a2",), objective_tol=tol)
+
+    @pytest.mark.parametrize("budget", [0, np.nan, np.inf, 2.5])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="max_evaluations must be an integer >= 1"):
+            SearchSpec(free=("a2",), max_evaluations=budget)
+
     def test_per_parameter_windows(self):
         spec = SearchSpec(free=("omega1", "a2"), rel_window={"omega1": 0.001, "a2": 0.01})
         assert spec.window_for("omega1") == 0.001

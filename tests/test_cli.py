@@ -86,6 +86,20 @@ class TestSimulate:
         )
         assert code == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sample_dt", ["inf", "nan"])
+    def test_nonfinite_sample_dt_fails(self, tmp_path, capsys, sample_dt):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "simulate", "--preset", "params12", "--initial", "digital:11",
+            "--sample-dt", sample_dt, "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample_dt must be positive and finite")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_preset_fails(self, tmp_path):
         code = run_cli(
             "simulate", "--preset", "nope", "--initial", "digital:11",
@@ -188,6 +202,25 @@ class TestCalibrate:
         assert values["converged"] == "true"
         tuned = parse_config(out.read_text())
         assert tuned.duration == calibrate_pi_duration(tuned.system, tuned.pulse(0.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--tol", "nan", "objective_tol"), ("--tol", "inf", "objective_tol"),
+         ("--window", "nan", "search window for a2"),
+         ("--window", "inf", "search window for a2")],
+    )
+    def test_nonfinite_search_settings_fail_cleanly(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "bad.cfg"
+        code = run_cli(
+            "calibrate", "--preset", "params12", "--pure-cn", "--free", "a2",
+            "--max-evals", "30", flag, value, "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be positive and finite")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_requires_a_task_flag(self, tmp_path):
         code = run_cli("calibrate", "--preset", "params12")

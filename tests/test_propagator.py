@@ -388,6 +388,12 @@ class TestRunTimeseries:
         with pytest.raises(ValueError):
             run_timeseries(params12, pulse12, digital_state("11"), sample_dt=0.0)
 
+    @pytest.mark.parametrize("sample_dt", [np.inf, np.nan])
+    def test_nonfinite_sample_dt_rejected(self, params12, pulse12, sample_dt):
+        # inf once gave a one-row series without t = 0, nan an int conversion error
+        with pytest.raises(ValueError, match="sample_dt must be positive and finite"):
+            run_timeseries(params12, pulse12, digital_state("11"), sample_dt=sample_dt)
+
     def test_bad_frame(self, params12, pulse12):
         with pytest.raises(ValueError):
             run_timeseries(params12, pulse12, digital_state("11"), sample_dt=1.0, frame="lab")
