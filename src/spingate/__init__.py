@@ -29,7 +29,6 @@ from .propagator import (
     evolve_exact,
     evolve_rk4,
     frame_phase_factors,
-    free_evolve,
     run_timeseries,
     to_primed,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "evolve_rk4",
     "extract_gcn_phases",
     "frame_phase_factors",
-    "free_evolve",
     "gate_fidelity",
     "gcn_matrix",
     "initial_state",

@@ -19,8 +19,7 @@ numpy at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,21 +37,25 @@ __all__ = [
 
 _FREE_ORDER = ("omega1", "a2", "duration")
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+# a Python float, so the durations it produces print as plain numbers
+_INV_PHI = float((np.sqrt(5.0) - 1.0) / 2.0)
+
+#: pi-timing search interval and final bracket width, in units of pi / a2
+_PI_BRACKET = (0.8, 1.2)
+_PI_REL_TOL = 1e-6
+
+#: the pure controlled-NOT target, i * CN
+_ICN = 1j * cn_matrix()
+_ICN.setflags(write=False)
 
 
-def calibrate_pi_duration(
-    params: SystemParams,
-    pulse_template: PulseSpec,
-    bracket: tuple[float, float] = (0.8, 1.2),
-    rel_tol: float = 1e-6,
-) -> float:
+def calibrate_pi_duration(params: SystemParams, pulse_template: PulseSpec) -> float:
     """Duration maximizing |c10(tau)|^2 for initial |11>.
 
-    Golden-section search on [bracket[0], bracket[1]] * (pi / a2), refined
-    until the bracket is narrower than rel_tol * (pi / a2).  The template's
-    own duration is ignored.  B is diagonalized once; every probe is the
-    closed-form `pi_transfer` on that eigensystem.
+    Golden-section search on [0.8, 1.2] * (pi / a2), refined until the
+    bracket is narrower than 1e-6 * (pi / a2).  The template's own duration
+    is ignored.  B is diagonalized once; every probe is the closed-form
+    `pi_transfer` on that eigensystem.
 
     Raises
     ------
@@ -60,23 +63,13 @@ def calibrate_pi_duration(
         If the search converges onto a bracket endpoint, i.e. there is no
         interior maximum; the endpoint transfer values are reported.
     ValueError
-        If a2 is not positive (no resonant drive, no pi condition), the
-        bracket is not 0 <= bracket[0] < bracket[1] < inf, or rel_tol is
-        not positive.
+        If a2 is not positive (no resonant drive, no pi condition).
     """
     if pulse_template.a2 <= 0:
         raise ValueError("pi-pulse calibration requires a2 > 0")
-    if not 0.0 <= bracket[0] < bracket[1] < np.inf:
-        raise ValueError(
-            f"bracket {tuple(bracket)!r} (in units of pi/a2) must satisfy "
-            "0 <= bracket[0] < bracket[1] < inf"
-        )
-    if not rel_tol > 0:
-        # the refinement loop would never stop, or (nan) never start
-        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
     tau_nominal = np.pi / pulse_template.a2
-    lo, hi = bracket[0] * tau_nominal, bracket[1] * tau_nominal
-    tol = rel_tol * tau_nominal
+    lo, hi = _PI_BRACKET[0] * tau_nominal, _PI_BRACKET[1] * tau_nominal
+    tol = _PI_REL_TOL * tau_nominal
 
     lam, v = build_generator(params, pulse_template).eigensystem()
     f = lambda tau: pi_transfer(lam, v, tau)
@@ -114,7 +107,7 @@ def pure_cn_objective(params: SystemParams, pulse: PulseSpec) -> float:
     clean pi-pulse, so this target is the 'pure controlled-NOT up to an
     irrelevant overall phase'.
     """
-    return 1.0 - gate_fidelity(tomography(params, pulse, frame="raw"), 1j * cn_matrix())
+    return 1.0 - gate_fidelity(tomography(params, pulse, frame="raw"), _ICN)
 
 
 @dataclass(frozen=True)
@@ -128,16 +121,13 @@ class SearchSpec:
         {'omega1', 'a2', 'duration'}.
     rel_window
         Half-width of the search box around each starting value, relative
-        to that value.  A single float applies to every coordinate; a
-        mapping gives per-coordinate windows.
+        to that value; the same for every coordinate.
     tie_a1
         Enforce a1 = a2 * omega1 / omega2 at every evaluation (one drive
         coil, amplitudes proportional to the spin frequencies).
     recalibrate_duration
         When 'duration' is not free, re-run pi-pulse timing calibration at
         every candidate point instead of keeping the starting duration.
-    target
-        Gate the objective is scored against; defaults to i * CN.
     max_evaluations
         Budget of objective evaluations (duration recalibrations not
         counted).
@@ -147,10 +137,9 @@ class SearchSpec:
     """
 
     free: tuple[str, ...]
-    rel_window: float | Mapping[str, float] = 0.005
+    rel_window: float = 0.005
     tie_a1: bool = False
     recalibrate_duration: bool = False
-    target: np.ndarray | None = field(default=None, compare=False)
     max_evaluations: int = 2000
     objective_tol: float = 1e-6
 
@@ -162,12 +151,11 @@ class SearchSpec:
         if not free:
             raise ValueError("at least one free parameter is required")
         object.__setattr__(self, "free", free)
-        for name in free:
-            window = self.window_for(name)
-            if not 0.0 < window < np.inf:
-                raise ValueError(
-                    f"search window for {name} must be positive and finite, got {window!r}"
-                )
+        if not 0.0 < self.rel_window < np.inf:
+            raise ValueError(
+                f"search window for {', '.join(free)} must be positive and finite, "
+                f"got {self.rel_window!r}"
+            )
         if not isinstance(self.max_evaluations, (int, np.integer)) or self.max_evaluations < 1:
             # a nan or inf budget would never be spent
             raise ValueError(
@@ -180,8 +168,7 @@ class SearchSpec:
             )
 
     def window_for(self, name: str) -> float:
-        if isinstance(self.rel_window, Mapping):
-            return float(self.rel_window[name])
+        """Relative search window of coordinate `name` (`rel_window` for every one)."""
         return float(self.rel_window)
 
 
@@ -197,7 +184,7 @@ class TuneResult:
 
 
 def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> TuneResult:
-    """Nelder-Mead search for parameters realizing the target gate.
+    """Nelder-Mead search for parameters minimizing `pure_cn_objective`.
 
     The search runs in coordinates normalized to the bounds box (each free
     parameter mapped to [-1, 1] over its window) and never evaluates
@@ -216,7 +203,6 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
             raise ValueError(f"cannot search {name!r} from a starting value of 0")
     windows = np.array([spec.window_for(n) * abs(center[n]) for n in spec.free])
     centers = np.array([center[n] for n in spec.free])
-    target = spec.target if spec.target is not None else 1j * cn_matrix()
 
     state = {"evals": 0, "best_val": np.inf, "best_point": None}
 
@@ -238,7 +224,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     def objective(z: np.ndarray) -> float:
         z = np.clip(z, -1.0, 1.0)
         cand_params, cand_pulse = build_point(z)
-        value = 1.0 - gate_fidelity(tomography(cand_params, cand_pulse, frame="raw"), target)
+        value = pure_cn_objective(cand_params, cand_pulse)
         state["evals"] += 1
         if value < state["best_val"]:
             state["best_val"] = value

@@ -31,9 +31,7 @@ from .core import (
     BASIS_LABELS,
     CalibrationError,
     GcnPatternError,
-    PulseSpec,
     ResonanceError,
-    SystemParams,
     TimeSeries,
 )
 from .gates import cn_matrix, extract_gcn_phases, gate_fidelity, tomography
@@ -93,12 +91,10 @@ def _load_config(args) -> RunConfig:
         values.update(parse_config_lines(Path(args.config).read_text(encoding="utf-8")))
     if not values:
         raise ConfigError("provide --preset and/or --config")
-    for key in ("initial", "frame", "out"):
+    for key in ("initial", "frame", "out", "sample_dt"):
         override = getattr(args, key, None)
         if override is not None:
             values.update(parse_config_lines(f"{key} = {override}"))
-    if getattr(args, "sample_dt", None) is not None:
-        values["sample_dt"] = args.sample_dt
     return build_run_config(values)
 
 
@@ -242,23 +238,11 @@ def cmd_sweep(config: RunConfig, args) -> int:
     lines = [f"index,{args.param},objective"]
     for index, value in enumerate(grid):
         value = float(value)
-        system = config.system
-        a1, a2 = config.a1, config.a2
         if args.param == "omega1":
-            system = SystemParams(value, system.omega2, system.coupling_j)
-        elif args.param == "a1":
-            a1 = value
-        elif args.param == "a2":
-            a2 = value
-        if args.param == "duration":
-            duration = value
-        elif config.duration is not None:
-            duration = config.duration
+            point = replace(config, system=replace(config.system, omega1=value))
         else:
-            template = PulseSpec(carrier=config.carrier, a1=a1, a2=a2, duration=0.0)
-            duration = calibrate_pi_duration(system, template)
-        pulse = PulseSpec(carrier=config.carrier, a1=a1, a2=a2, duration=duration)
-        objective = pure_cn_objective(system, pulse)
+            point = replace(config, **{args.param: value})
+        objective = pure_cn_objective(point.system, point.pulse(_resolve_duration(point)))
         lines.append(f"{index},{_num(value)},{_num(objective)}")
     Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"sweep: {args.steps} points over {args.param} -> {out}")

@@ -42,7 +42,8 @@ __all__ = [
 ]
 
 _NUMERIC_KEYS = ("omega1", "omega2", "coupling_j", "a1", "a2", "sample_dt")
-_ALL_KEYS = _NUMERIC_KEYS + ("carrier", "duration", "initial", "frame", "out")
+_AUTO_KEYS = ("carrier", "duration")  # a number, or 'auto' (stored as None)
+_ALL_KEYS = _NUMERIC_KEYS + _AUTO_KEYS + ("initial", "frame", "out")
 _REQUIRED_KEYS = ("omega1", "omega2", "coupling_j", "a1", "a2")
 
 #: the benchmark superposition state (amplitudes sum of squares is exactly 1)
@@ -121,21 +122,14 @@ def parse_config_lines(text: str) -> dict:
             )
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno)
-        if key in _NUMERIC_KEYS:
+        if key in _AUTO_KEYS and value == "auto":
+            values[key] = None
+        elif key in _NUMERIC_KEYS + _AUTO_KEYS:
             try:
                 values[key] = float(value)
             except ValueError:
-                raise ConfigError(f"cannot parse number {value!r} for key {key!r}", lineno)
-        elif key in ("carrier", "duration"):
-            if value == "auto":
-                values[key] = None
-            else:
-                try:
-                    values[key] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"cannot parse {value!r} for key {key!r} (number or 'auto')", lineno
-                    )
+                kind = "a number or 'auto'" if key in _AUTO_KEYS else "a number"
+                raise ConfigError(f"cannot parse {value!r} for key {key!r} as {kind}", lineno)
         elif key == "initial":
             _parse_initial(value, lineno)  # validate eagerly, keep the spelling
             values[key] = value
@@ -160,8 +154,8 @@ def build_run_config(values: Mapping) -> RunConfig:
     if frame not in ("raw", "primed"):
         raise ConfigError(f"frame must be 'raw' or 'primed', got {frame!r}")
     sample_dt = values.get("sample_dt")
-    if sample_dt is not None and sample_dt <= 0:
-        raise ConfigError(f"sample_dt must be positive, got {sample_dt!r}")
+    if sample_dt is not None and not 0.0 < sample_dt < np.inf:
+        raise ConfigError(f"sample_dt must be positive and finite, got {sample_dt!r}")
     config = RunConfig(
         system=system,
         carrier=float(carrier),
@@ -175,7 +169,7 @@ def build_run_config(values: Mapping) -> RunConfig:
     )
     # surface pulse-field validation errors (signs, finiteness) at parse time
     try:
-        PulseSpec(carrier=config.carrier, a1=config.a1, a2=config.a2, duration=0.0)
+        config.pulse(0.0 if config.duration is None else config.duration)
     except ValueError as exc:
         raise ConfigError(str(exc))
     return config

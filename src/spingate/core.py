@@ -124,7 +124,7 @@ class PulseSpec:
         if not (np.isfinite(self.a2) and self.a2 >= 0):
             raise ValueError(f"a2 must be >= 0, got {self.a2}")
         if not (np.isfinite(self.duration) and self.duration >= 0):
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,8 @@ class TimeSeries:
         object.__setattr__(self, "norm", norm)
         self.validate()
 
-    def validate(self, norm_tol: float = 1e-12) -> None:
-        """Check row ordering and that the norm column is self-consistent."""
+    def validate(self) -> None:
+        """Check row ordering and that the norm column matches the amplitudes to 1e-12."""
         dt = np.diff(self.t)
         if np.any(dt <= 0):
             # a zero-length pulse is sampled as two identical rows at t = 0
@@ -267,7 +267,7 @@ class TimeSeries:
                 raise ValueError("times must be strictly increasing")
         recomputed = np.sum(np.abs(self.amps) ** 2, axis=1)
         worst = float(np.max(np.abs(recomputed - self.norm))) if self.t.size else 0.0
-        if worst > norm_tol:
+        if worst > 1e-12:
             raise ValueError(f"norm column inconsistent with amplitudes by {worst:.3e}")
 
     def __len__(self) -> int:

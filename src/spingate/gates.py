@@ -37,6 +37,9 @@ GCN_PATTERN = ((0, 0), (1, 1), (2, 3), (3, 2))
 #: max-norm unitarity tolerance for matrices produced by tomography
 TOMOGRAPHY_UNITARITY_TOL = 1e-8
 
+#: largest modulus off the phased-CN pattern (and deficit on it) a gate may have
+GCN_LEAK_TOL = 1e-2
+
 
 def cn_matrix() -> GateMatrix:
     """The pure controlled-NOT permutation matrix."""
@@ -80,13 +83,13 @@ def tomography(params: SystemParams, pulse: PulseSpec, frame: str = "primed") ->
     return gate
 
 
-def extract_gcn_phases(gate: GateMatrix, leak_tol: float = 1e-2) -> GcnPhases:
+def extract_gcn_phases(gate: GateMatrix) -> GcnPhases:
     """Read the four phase shifts off a gate in the phased-CN pattern.
 
-    Every entry outside the pattern must have modulus <= leak_tol and every
-    patterned entry modulus >= 1 - leak_tol, otherwise the gate does not
-    implement a conditional NOT and a `GcnPatternError` carries the largest
-    offending modulus and its indices.  The global phase is fixed by
+    Every entry outside the pattern must have modulus <= GCN_LEAK_TOL and
+    every patterned entry modulus >= 1 - GCN_LEAK_TOL, otherwise the gate
+    does not implement a conditional NOT and a `GcnPatternError` carries the
+    largest offending modulus and its indices.  The global phase is fixed by
     subtracting the (00,00) entry's argument, so dphi00 is exactly zero and
     all phases lie in (-pi, pi].
     """
@@ -103,18 +106,18 @@ def extract_gcn_phases(gate: GateMatrix, leak_tol: float = 1e-2) -> GcnPhases:
         off[i, j] = 0.0
     worst_idx = np.unravel_index(np.argmax(off), off.shape)
     worst_leak = float(off[worst_idx])
-    if worst_leak > leak_tol:
+    if worst_leak > GCN_LEAK_TOL:
         raise GcnPatternError(
             f"entry {worst_idx} has modulus {worst_leak:.3e} outside the phased-CN "
-            f"pattern (leak tolerance {leak_tol:g}); the gate is not a conditional NOT",
+            f"pattern (leak tolerance {GCN_LEAK_TOL:g}); the gate is not a conditional NOT",
             max_leak=worst_leak,
             indices=(int(worst_idx[0]), int(worst_idx[1])),
         )
     for i, j in GCN_PATTERN:
-        if moduli[i, j] < 1.0 - leak_tol:
+        if moduli[i, j] < 1.0 - GCN_LEAK_TOL:
             raise GcnPatternError(
                 f"patterned entry ({i}, {j}) has modulus {moduli[i, j]:.6f} below "
-                f"1 - {leak_tol:g}; the gate is not a conditional NOT",
+                f"1 - {GCN_LEAK_TOL:g}; the gate is not a conditional NOT",
                 max_leak=float(1.0 - moduli[i, j]),
                 indices=(i, j),
             )

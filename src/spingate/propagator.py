@@ -28,7 +28,6 @@ __all__ = [
     "evolve_exact",
     "pi_transfer",
     "evolve_rk4",
-    "free_evolve",
     "to_primed",
     "frame_phase_factors",
     "run_timeseries",
@@ -150,9 +149,15 @@ def evolve_rk4(state: QState, gen: Generator, t: float, dt: float) -> QState:
     return QState(evolved, norm_tol=1e-3)
 
 
-def _free_rates(params: SystemParams) -> np.ndarray:
-    """Free-evolution phase rates per basis state (phase = -rate * t)."""
-    return np.array(
+def frame_phase_factors(params: SystemParams, t: float | np.ndarray) -> np.ndarray:
+    """Diagonal of the raw -> primed frame transform at time t.
+
+    Drive-free evolution in the rotating frame is pure phases: c00 and c01
+    acquire exp[-i (omega2 - omega1 - 2J) t] and exp[-i (omega2 - omega1) t],
+    c10 and c11 none.  The primed frame strips them.  A column of times
+    (shape (n, 1)) gives one row of factors per time.
+    """
+    rates = np.array(
         [
             params.omega2 - params.omega1 - 2.0 * params.coupling_j,
             params.omega2 - params.omega1,
@@ -160,33 +165,18 @@ def _free_rates(params: SystemParams) -> np.ndarray:
             0.0,
         ]
     )
-
-
-def free_evolve(state: QState, t: float, params: SystemParams) -> QState:
-    """Drive-free evolution in the rotating frame (pure phases).
-
-    c00 and c01 acquire exp[-i (omega2 - omega1 - 2J) t] and
-    exp[-i (omega2 - omega1) t]; c10 and c11 are unchanged.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return QState(state.amps * np.exp(-1j * _free_rates(params) * t))
+    return np.exp(+1j * rates * t)
 
 
 def to_primed(state: QState, t: float, params: SystemParams) -> QState:
     """Strip the free-evolution phases accumulated up to time t.
 
-    Inverse of `free_evolve`; moduli are untouched, so a state in the
-    primed frame differs from the raw one only in the phases of c00, c01.
+    Moduli are untouched, so a state in the primed frame differs from the
+    raw one only in the phases of c00, c01.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return QState(state.amps * np.exp(+1j * _free_rates(params) * t))
-
-
-def frame_phase_factors(params: SystemParams, t: float) -> np.ndarray:
-    """Diagonal of the raw -> primed frame transform at time t."""
-    return np.exp(+1j * _free_rates(params) * t)
+    return QState(state.amps * frame_phase_factors(params, t))
 
 
 def _sample_grid(duration: float, sample_dt: float) -> np.ndarray:
@@ -228,6 +218,6 @@ def run_timeseries(
     proj = v.T @ initial.amps
     amps = (v @ (np.exp(0.5j * np.outer(lam, ts)) * proj[:, None])).T
     if frame == "primed":
-        amps = amps * np.exp(+1j * np.outer(ts, _free_rates(params)))
+        amps = amps * frame_phase_factors(params, ts[:, None])
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     return TimeSeries(t=ts, amps=amps, norm=norms, frame=frame)

@@ -32,6 +32,7 @@ from spingate import (
     tune_pure_cn,
 )
 from spingate.config import EQ21_AMPS, PARAMS24_DURATION
+from spingate.gates import GCN_LEAK_TOL
 
 
 def report(cid: str, ok: bool, detail: str = "") -> None:
@@ -157,7 +158,8 @@ def test_criterion_2_nonresonant_protection(params12, pulse12, tau12):
 
 def test_criterion_3_gcn_phase_identification(params12, pulse12):
     gate = tomography(params12, pulse12, frame="primed")
-    phases = extract_gcn_phases(gate, leak_tol=1e-2)  # raises on pattern violation
+    assert GCN_LEAK_TOL <= 1e-2
+    phases = extract_gcn_phases(gate)  # raises on pattern violation
     deviations = {
         "dphi00": abs(phases.dphi00),
         "dphi01": abs(phases.dphi01),

@@ -40,29 +40,21 @@ class TestCalibratePiDuration:
         with pytest.raises(ValueError, match="a2"):
             calibrate_pi_duration(params12, template)
 
-    @pytest.mark.parametrize("bracket", [(-0.1, 1.2), (1.2, 0.8), (0.8, np.inf)])
-    def test_invalid_bracket_rejected(self, params12, bracket):
-        template = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
-        with pytest.raises(ValueError, match=r"bracket \(.*\) .*must satisfy"):
-            calibrate_pi_duration(params12, template, bracket=bracket)
-
-    @pytest.mark.parametrize("rel_tol", [0.0, -1e-6, np.nan])
-    def test_nonpositive_rel_tol_rejected(self, params12, rel_tol):
-        template = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
-        with pytest.raises(ValueError, match="rel_tol"):
-            calibrate_pi_duration(params12, template, rel_tol=rel_tol)
-
     def test_diagonalizes_once(self, params12, eigh_calls):
         template = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
         calibrate_pi_duration(params12, template)
         assert len(eigh_calls) == 1
 
     def test_no_interior_maximum_reports_endpoints(self, params12):
-        template = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
-        # transfer decreases monotonically past the pi condition, so a
-        # bracket strictly above it has its maximum on the boundary
-        with pytest.raises(CalibrationError, match="endpoint"):
-            calibrate_pi_duration(params12, template, bracket=(1.05, 1.2))
+        # a1 = 100 dresses the 10/11 pair so strongly that the transfer peaks
+        # at the lower end of [0.8, 1.2] * pi/a2 (0.19666 against 0.19640 at
+        # the best interior point): no pi condition inside the bracket
+        template = PulseSpec(carrier=95.0, a1=100.0, a2=0.1, duration=0.0)
+        with pytest.raises(CalibrationError, match="endpoint") as excinfo:
+            calibrate_pi_duration(params12, template)
+        # every reported number prints as a plain float
+        assert "np.float64" not in str(excinfo.value)
+        assert "at 25.14" in str(excinfo.value)
 
 
 class TestPureCnObjective:
@@ -127,8 +119,8 @@ class TestSearchSpec:
     def test_nonfinite_window_rejected(self, window):
         with pytest.raises(ValueError, match="window for a2 must be positive and finite"):
             SearchSpec(free=("a2",), rel_window=window)
-        with pytest.raises(ValueError, match="window for omega1 must be positive and finite"):
-            SearchSpec(free=("omega1", "a2"), rel_window={"omega1": window, "a2": 0.01})
+        with pytest.raises(ValueError, match="window for omega1, a2 must be positive and finite"):
+            SearchSpec(free=("omega1", "a2"), rel_window=window)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-6])
     def test_bad_objective_tol_rejected(self, tol):
@@ -140,11 +132,6 @@ class TestSearchSpec:
     def test_bad_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="max_evaluations must be an integer >= 1"):
             SearchSpec(free=("a2",), max_evaluations=budget)
-
-    def test_per_parameter_windows(self):
-        spec = SearchSpec(free=("omega1", "a2"), rel_window={"omega1": 0.001, "a2": 0.01})
-        assert spec.window_for("omega1") == 0.001
-        assert spec.window_for("a2") == 0.01
 
 
 class TestTunePureCn:

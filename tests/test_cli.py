@@ -222,6 +222,19 @@ class TestCalibrate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_no_interior_maximum_fails_cleanly(self, tmp_path, capsys):
+        config = tmp_path / "strong.cfg"
+        config.write_text("a1 = 100\n")
+        out = tmp_path / "tuned.cfg"
+        code = run_cli("calibrate", "--preset", "params12", "--config", str(config),
+                       "--pi-duration", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no interior transfer maximum")
+        assert "np.float64" not in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_requires_a_task_flag(self, tmp_path):
         code = run_cli("calibrate", "--preset", "params12")
         assert code == 1
@@ -259,6 +272,29 @@ class TestSweep:
         lines = out.read_text().splitlines()
         objectives = [float(line.split(",")[2]) for line in lines[1:]]
         assert min(objectives) < 1e-3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "line, message",
+        [("duration = -1", "duration must be finite and >= 0"),
+         ("duration = nan", "duration must be finite and >= 0"),
+         ("sample_dt = inf", "sample_dt must be positive and finite"),
+         ("sample_dt = nan", "sample_dt must be positive and finite")],
+    )
+    def test_bad_config_value_fails_cleanly(self, tmp_path, capsys, line, message):
+        # a duration sweep reads neither value, so only load-time checks catch them
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--preset", "params24", "--config", str(config), "--param", "duration",
+            "--min", "31.41", "--max", "31.42", "--steps", "2", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_resonance_moving_parameter_rejected(self, tmp_path):
         code = run_cli(

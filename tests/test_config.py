@@ -78,6 +78,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sample_dt"):
             parse_config(GOOD.replace("sample_dt = 0.05", "sample_dt = -1"))
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_sample_dt_rejected(self, value):
+        with pytest.raises(ConfigError, match="sample_dt must be positive and finite"):
+            parse_config(GOOD.replace("sample_dt = 0.05", f"sample_dt = {value}"))
+
+    @pytest.mark.parametrize("value", ["-1", "inf", "nan"])
+    def test_bad_duration_rejected(self, value):
+        with pytest.raises(ConfigError, match="duration must be finite and >= 0"):
+            parse_config(GOOD.replace("duration = auto", f"duration = {value}"))
+
+    def test_duration_is_number_or_auto(self):
+        config = parse_config(GOOD.replace("duration = auto", "duration = 0"))
+        assert config.duration == 0.0 and config.carrier == 95.0
+        with pytest.raises(ConfigError, match="line 8.*as a number or 'auto'"):
+            parse_config(GOOD.replace("duration = auto", "duration = soon"))
+
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ConfigError, match="a1"):
             parse_config(GOOD.replace("a1 = 0.5", "a1 = -0.5"))

@@ -101,7 +101,7 @@ class TestExtractGcnPhases:
         g[2, 2] = g[3, 3] = np.sin(delta)
         g[2, 3] = g[3, 2] = np.cos(delta)
         g[3, 2] = -g[3, 2]  # keep it unitary (reflection block)
-        phases = extract_gcn_phases(g, leak_tol=1e-2)
+        phases = extract_gcn_phases(g)
         assert phases.dphi10 == pytest.approx(np.pi, abs=1e-6)
 
     def test_leak_above_tolerance_reported(self):
@@ -111,7 +111,7 @@ class TestExtractGcnPhases:
         g[2, 3] = g[3, 2] = np.cos(delta)
         g[3, 2] = -g[3, 2]
         with pytest.raises(GcnPatternError) as excinfo:
-            extract_gcn_phases(g, leak_tol=1e-2)
+            extract_gcn_phases(g)
         assert excinfo.value.max_leak == pytest.approx(np.sin(delta))
         assert excinfo.value.indices in ((2, 2), (3, 3))
 

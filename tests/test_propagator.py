@@ -16,7 +16,6 @@ from spingate import (
     evolve_exact,
     evolve_rk4,
     frame_phase_factors,
-    free_evolve,
     run_timeseries,
     superposition_state,
     to_primed,
@@ -229,45 +228,48 @@ class TestEvolveRk4:
 
 
 class TestFrameTransforms:
+    @pytest.fixture(scope="class")
+    def gen0(self, params12):
+        # zero drive: pure free evolution
+        return build_generator(params12, PulseSpec(carrier=95.0, a1=0.0, a2=0.0, duration=1.0))
+
     def test_free_evolution_phases(self, params12):
         state = superposition_state(EQ21_AMPS)
         t = 0.731
-        out = free_evolve(state, t, params12)
-        assert abs(out.c00 - state.c00 * np.exp(-1j * (100 - 500 - 10) * t)) < 1e-15
-        assert abs(out.c01 - state.c01 * np.exp(-1j * (100 - 500) * t)) < 1e-15
+        out = to_primed(state, t, params12)
+        assert abs(out.c00 - state.c00 * np.exp(+1j * (100 - 500 - 10) * t)) < 1e-15
+        assert abs(out.c01 - state.c01 * np.exp(+1j * (100 - 500) * t)) < 1e-15
         assert out.c10 == state.c10 and out.c11 == state.c11
 
     def test_10_is_stationary(self, params12):
-        out = free_evolve(digital_state("10"), 17.3, params12)
+        out = to_primed(digital_state("10"), 17.3, params12)
         assert np.array_equal(out.amps, digital_state("10").amps)
 
     @given(t=st.floats(min_value=0.0, max_value=60.0))
     @settings(max_examples=40, deadline=None)
-    def test_primed_inverts_free_evolution(self, params12, t):
+    def test_primed_inverts_free_evolution(self, params12, gen0, t):
+        # without drive the primed frame is frozen at the initial state
         state = superposition_state(EQ21_AMPS)
-        back = to_primed(free_evolve(state, t, params12), t, params12)
+        back = to_primed(evolve_exact(state, gen0, t), t, params12)
         assert np.max(np.abs(back.amps - state.amps)) < 1e-12
 
     @given(t=st.floats(min_value=0.0, max_value=60.0))
     @settings(max_examples=40, deadline=None)
     def test_phase_only_moduli_preserved(self, params12, t):
         state = superposition_state(EQ21_AMPS)
-        for transform in (free_evolve, to_primed):
-            out = transform(state, t, params12)
-            assert np.max(np.abs(np.abs(out.amps) - np.abs(state.amps))) < 1e-15
+        out = to_primed(state, t, params12)
+        assert np.max(np.abs(np.abs(out.amps) - np.abs(state.amps))) < 1e-15
 
-    def test_matches_exact_with_zero_drive(self, params12):
-        pulse = PulseSpec(carrier=95.0, a1=0.0, a2=0.0, duration=1.0)
-        gen = build_generator(params12, pulse)
+    def test_matches_exact_with_zero_drive(self, params12, gen0):
+        # the raw zero-drive evolution is the inverse frame transform
         state = superposition_state(EQ21_AMPS)
         for t in (0.1, 3.7, 31.4):
-            via_gen = evolve_exact(state, gen, t)
-            via_phases = free_evolve(state, t, params12)
-            assert np.max(np.abs(via_gen.amps - via_phases.amps)) < 1e-12
+            via_gen = evolve_exact(state, gen0, t)
+            via_phases = state.amps / frame_phase_factors(params12, t)
+            assert np.max(np.abs(via_gen.amps - via_phases)) < 1e-12
 
     def test_t0_identity(self, params12):
         state = superposition_state(EQ21_AMPS)
-        assert np.array_equal(free_evolve(state, 0.0, params12).amps, state.amps)
         assert np.array_equal(to_primed(state, 0.0, params12).amps, state.amps)
 
     def test_frame_phase_factors_diagonal(self, params12):
@@ -275,6 +277,17 @@ class TestFrameTransforms:
         factors = frame_phase_factors(params12, t)
         state = superposition_state(EQ21_AMPS)
         assert np.max(np.abs(to_primed(state, t, params12).amps - factors * state.amps)) < 1e-15
+
+    def test_frame_phase_factors_broadcast_over_times(self, params12):
+        ts = np.array([0.0, 0.731, 2.5, 31.4])
+        rows = frame_phase_factors(params12, ts[:, None])
+        assert rows.shape == (4, 4)
+        for t, row in zip(ts, rows):
+            assert np.array_equal(row, frame_phase_factors(params12, t))
+
+    def test_negative_time_rejected(self, params12):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            to_primed(digital_state("00"), -1.0, params12)
 
 
 class TestResonantSwapEndpoints:
