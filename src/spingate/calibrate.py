@@ -24,8 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CalibrationError, PulseSpec, SystemParams
-from .gates import cn_matrix, gate_fidelity, tomography
-from .propagator import build_generator, pi_transfer
+from .gates import _unitary_gate
+from .propagator import (
+    _check_resonance,
+    _eigensystem,
+    _generator_matrix,
+    build_generator,
+    pi_transfer,
+)
 
 __all__ = [
     "calibrate_pi_duration",
@@ -44,10 +50,6 @@ _INV_PHI = float((np.sqrt(5.0) - 1.0) / 2.0)
 _PI_BRACKET = (0.8, 1.2)
 _PI_REL_TOL = 1e-6
 
-#: the pure controlled-NOT target, i * CN
-_ICN = 1j * cn_matrix()
-_ICN.setflags(write=False)
-
 
 def calibrate_pi_duration(params: SystemParams, pulse_template: PulseSpec) -> float:
     """Duration maximizing |c10(tau)|^2 for initial |11>.
@@ -65,13 +67,25 @@ def calibrate_pi_duration(params: SystemParams, pulse_template: PulseSpec) -> fl
     ValueError
         If a2 is not positive (no resonant drive, no pi condition).
     """
+    return _pi_calibration(params, pulse_template)[0]
+
+
+def _pi_calibration(
+    params: SystemParams, pulse_template: PulseSpec
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """`calibrate_pi_duration` and the eigensystem of B it searched on: (tau, lam, v)."""
     if pulse_template.a2 <= 0:
         raise ValueError("pi-pulse calibration requires a2 > 0")
-    tau_nominal = np.pi / pulse_template.a2
+    lam, v = build_generator(params, pulse_template).eigensystem()
+    return _pi_duration(lam, v, pulse_template.a2), lam, v
+
+
+def _pi_duration(lam: np.ndarray, v: np.ndarray, a2: float) -> float:
+    """Golden-section pi timing on the eigensystem (lam, v) of B; the caller checks a2 > 0."""
+    tau_nominal = np.pi / a2
     lo, hi = _PI_BRACKET[0] * tau_nominal, _PI_BRACKET[1] * tau_nominal
     tol = _PI_REL_TOL * tau_nominal
 
-    lam, v = build_generator(params, pulse_template).eigensystem()
     f = lambda tau: pi_transfer(lam, v, tau)
     f_lo, f_hi = f(lo), f(hi)
     a, b = lo, hi
@@ -107,7 +121,19 @@ def pure_cn_objective(params: SystemParams, pulse: PulseSpec) -> float:
     clean pi-pulse, so this target is the 'pure controlled-NOT up to an
     irrelevant overall phase'.
     """
-    return 1.0 - gate_fidelity(tomography(params, pulse, frame="raw"), _ICN)
+    return _objective(*build_generator(params, pulse).eigensystem(), pulse.duration)
+
+
+def _objective(lam: np.ndarray, v: np.ndarray, tau: float) -> float:
+    """`pure_cn_objective` at duration tau from the eigensystem (lam, v) of B.
+
+    1 - |tr((i CN)^dag U)| / 4, with the trace written out: (i CN)^dag U
+    has -i times U[0,0], U[1,1], U[3,2], U[2,3] on its diagonal, and the
+    sum is grouped as np.trace sums four complex numbers, so the value has
+    the bits of `gate_fidelity`'s.
+    """
+    g = _unitary_gate(lam, v, tau)
+    return 1.0 - float(abs((g[0, 0] + g[1, 1]) + (g[3, 2] + g[2, 3])) / 4.0)
 
 
 @dataclass(frozen=True)
@@ -201,34 +227,46 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     for name in spec.free:
         if center[name] == 0.0:
             raise ValueError(f"cannot search {name!r} from a starting value of 0")
-    windows = np.array([spec.window_for(n) * abs(center[n]) for n in spec.free])
-    centers = np.array([center[n] for n in spec.free])
+    # carrier, omega2 and J are the same at every point of the search
+    _check_resonance(params, pulse.carrier)
+    windows = [spec.window_for(n) * abs(center[n]) for n in spec.free]
+    centers = [center[n] for n in spec.free]
+    omega2, coupling_j = params.omega2, params.coupling_j
+    recalibrate = spec.recalibrate_duration and "duration" not in spec.free
 
     state = {"evals": 0, "best_val": np.inf, "best_point": None}
 
-    def build_point(z: np.ndarray) -> tuple[SystemParams, PulseSpec]:
-        x = dict(center)
-        for name, zi, ci, wi in zip(spec.free, z, centers, windows):
-            x[name] = ci + zi * wi
-        cand_params = SystemParams(x["omega1"], params.omega2, params.coupling_j)
-        a1 = pulse.a1
-        if spec.tie_a1:
-            a1 = x["a2"] * x["omega1"] / params.omega2
-        duration = x["duration"]
-        cand_pulse = PulseSpec(carrier=pulse.carrier, a1=a1, a2=x["a2"], duration=duration)
-        if "duration" not in spec.free and spec.recalibrate_duration:
-            duration = calibrate_pi_duration(cand_params, cand_pulse)
-            cand_pulse = PulseSpec(carrier=pulse.carrier, a1=a1, a2=x["a2"], duration=duration)
-        return cand_params, cand_pulse
+    def build_point(omega1, a1, a2, duration) -> tuple[SystemParams, PulseSpec]:
+        return (
+            SystemParams(omega1, omega2, coupling_j),
+            PulseSpec(carrier=pulse.carrier, a1=a1, a2=a2, duration=duration),
+        )
 
     def objective(z: np.ndarray) -> float:
-        z = np.clip(z, -1.0, 1.0)
-        cand_params, cand_pulse = build_point(z)
-        value = pure_cn_objective(cand_params, cand_pulse)
+        # scored from plain numbers: no dataclass per point, one B, one eigh, one gate
+        x = dict(center)
+        z = np.minimum(np.maximum(z, -1.0), 1.0)
+        for name, zi, ci, wi in zip(spec.free, z.tolist(), centers, windows):
+            x[name] = ci + zi * wi
+        x["a1"] = x["a2"] * x["omega1"] / omega2 if spec.tie_a1 else pulse.a1
+        if not (
+            0.0 < x["omega1"] < np.inf
+            and 0.0 <= x["a1"] < np.inf
+            and 0.0 <= x["a2"] < np.inf
+            and 0.0 <= x["duration"] < np.inf
+            and (x["a2"] > 0.0 or not recalibrate)
+        ):
+            # the constructors, or pi timing, raise the error this point deserves
+            calibrate_pi_duration(*build_point(**x))
+        b = _generator_matrix(x["omega1"], omega2, coupling_j, x["a1"], x["a2"])
+        lam, v = _eigensystem(b)
+        if recalibrate:
+            x["duration"] = _pi_duration(lam, v, x["a2"])
+        value = _objective(lam, v, x["duration"])
         state["evals"] += 1
         if value < state["best_val"]:
             state["best_val"] = value
-            state["best_point"] = (cand_params, cand_pulse)
+            state["best_point"] = x
         return value
 
     def run_simplex(simplex) -> None:
@@ -261,14 +299,16 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
                 if state["evals"] >= spec.max_evaluations:
                     break
                 objective(z)
-        zb = _normalized(state["best_point"], spec, centers, windows)
+        best = state["best_point"]
+        zb = np.array([(best[n] - c) / w for n, c, w in zip(spec.free, centers, windows)])
+        zb = np.minimum(np.maximum(zb, -1.0), 1.0)
         size = 0.02 / stage
         shrunk = [zb] + [zb + size * np.eye(ndim)[k] for k in range(ndim)]
         run_simplex(shrunk)
         if stage >= 8:
             break
 
-    best_params, best_pulse = state["best_point"]
+    best_params, best_pulse = build_point(**state["best_point"])
     return TuneResult(
         params=best_params,
         pulse=best_pulse,
@@ -349,10 +389,3 @@ def _nelder_mead(f, simplex, max_evals: int, done) -> None:
     except _BudgetSpent:
         return
 
-
-def _normalized(point, spec: SearchSpec, centers: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Map a (params, pulse) point back into normalized search coordinates."""
-    cand_params, cand_pulse = point
-    values = {"omega1": cand_params.omega1, "a2": cand_pulse.a2, "duration": cand_pulse.duration}
-    z = np.array([(values[n] - c) / w for n, c, w in zip(spec.free, centers, windows)])
-    return np.clip(z, -1.0, 1.0)

@@ -17,12 +17,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import SearchSpec, calibrate_pi_duration, pure_cn_objective, tune_pure_cn
+from .calibrate import (
+    SearchSpec,
+    _objective,
+    _pi_calibration,
+    calibrate_pi_duration,
+    tune_pure_cn,
+)
 from .config import (
     PRESETS,
     ConfigError,
     RunConfig,
-    build_run_config,
+    _build_with_lines,
+    _parse_with_lines,
     emit_config,
     initial_state,
     parse_config_lines,
@@ -81,6 +88,7 @@ def read_timeseries_csv(path: str, frame: str = "primed") -> TimeSeries:
 
 def _load_config(args) -> RunConfig:
     values: dict = {}
+    lines: dict = {}  # line of each key's last assignment in the config file
     if args.preset is not None:
         if args.preset not in PRESETS:
             raise ConfigError(
@@ -88,20 +96,30 @@ def _load_config(args) -> RunConfig:
             )
         values.update(PRESETS[args.preset])
     if args.config is not None:
-        values.update(parse_config_lines(Path(args.config).read_text(encoding="utf-8")))
+        file_values, lines = _parse_with_lines(Path(args.config).read_text(encoding="utf-8"))
+        values.update(file_values)
     if not values:
         raise ConfigError("provide --preset and/or --config")
     for key in ("initial", "frame", "out", "sample_dt"):
         override = getattr(args, key, None)
         if override is not None:
             values.update(parse_config_lines(f"{key} = {override}"))
-    return build_run_config(values)
+            lines.pop(key, None)  # a flag's value has no line
+    return _build_with_lines(values, lines)
 
 
 def _resolve_duration(config: RunConfig) -> float:
     if config.duration is not None:
         return config.duration
     return calibrate_pi_duration(config.system, config.pulse(duration=0.0))
+
+
+def _resolve_eigensystem(config: RunConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """`_resolve_duration` and the eigensystem of the config's B, from one eigh."""
+    if config.duration is None:
+        return _pi_calibration(config.system, config.pulse(duration=0.0))
+    lam, v = build_generator(config.system, config.pulse()).eigensystem()
+    return config.duration, lam, v
 
 
 def _require(config: RunConfig, field: str):
@@ -173,14 +191,15 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     tuned = config
     status = 0
 
-    duration = _resolve_duration(config)
     if args.pi_duration:
+        duration, lam, v = _resolve_eigensystem(config)
         tuned = replace(tuned, duration=duration)
         report_comments.append(f"# pi_duration = {duration!r}")
-        lam, v = build_generator(config.system, config.pulse(duration)).eigensystem()
         transfer = pi_transfer(lam, v, duration)
         report_comments.append(f"# transfer_at_pi_duration = {transfer!r}")
         print(f"calibrate: pi-pulse duration = {duration!r} (transfer {transfer:.9f})")
+    else:
+        duration = _resolve_duration(config)
 
     if args.pure_cn:
         free = tuple(name.strip() for name in args.free.split(",") if name.strip())
@@ -242,7 +261,8 @@ def cmd_sweep(config: RunConfig, args) -> int:
             point = replace(config, system=replace(config.system, omega1=value))
         else:
             point = replace(config, **{args.param: value})
-        objective = pure_cn_objective(point.system, point.pulse(_resolve_duration(point)))
+        duration, lam, v = _resolve_eigensystem(point)
+        objective = _objective(lam, v, duration)
         lines.append(f"{index},{_num(value)},{_num(objective)}")
     Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"sweep: {args.steps} points over {args.param} -> {out}")

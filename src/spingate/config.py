@@ -107,7 +107,13 @@ def parse_config_lines(text: str) -> dict:
     Unknown keys, malformed lines and unparseable numbers are rejected with
     the offending line number.  Later assignments override earlier ones.
     """
+    return _parse_with_lines(text)[0]
+
+
+def _parse_with_lines(text: str) -> tuple[dict, dict[str, int]]:
+    """`parse_config_lines`, and the line of each key's last assignment."""
     values: dict = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,6 +128,7 @@ def parse_config_lines(text: str) -> dict:
             )
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno)
+        lines[key] = lineno
         if key in _AUTO_KEYS and value == "auto":
             values[key] = None
         elif key in _NUMERIC_KEYS + _AUTO_KEYS:
@@ -135,7 +142,7 @@ def parse_config_lines(text: str) -> dict:
             values[key] = value
         else:
             values[key] = value
-    return values
+    return values, lines
 
 
 def build_run_config(values: Mapping) -> RunConfig:
@@ -177,7 +184,20 @@ def build_run_config(values: Mapping) -> RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     """Parse one config document into a validated RunConfig."""
-    return build_run_config(parse_config_lines(text))
+    return _build_with_lines(*_parse_with_lines(text))
+
+
+def _build_with_lines(values: Mapping, lines: Mapping[str, int]) -> RunConfig:
+    """`build_run_config`; a range error on a key in `lines` names that key's line."""
+    try:
+        return build_run_config(values)
+    except ConfigError as exc:
+        # range errors begin with the key they are about ("a2 must be >= 0, ..."); a
+        # carrier computed for 'auto' is not read from its line, so it gets none
+        key = str(exc).split(" ", 1)[0]
+        if exc.line is not None or key not in lines or values.get(key) is None:
+            raise
+        raise ConfigError(str(exc), lines[key]) from None
 
 
 def _parse_initial(spec: str, lineno: int | None = None) -> QState:

@@ -40,6 +40,9 @@ TOMOGRAPHY_UNITARITY_TOL = 1e-8
 #: largest modulus off the phased-CN pattern (and deficit on it) a gate may have
 GCN_LEAK_TOL = 1e-2
 
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
+
 
 def cn_matrix() -> GateMatrix:
     """The pure controlled-NOT permutation matrix."""
@@ -68,16 +71,21 @@ def tomography(params: SystemParams, pulse: PulseSpec, frame: str = "primed") ->
     Column j is the state at the pulse end for digital input j, optionally
     transformed to the primed frame.  All four columns come from one
     eigendecomposition as U = (V e^{i Lambda tau/2}) V^T, with the primed
-    phases applied to its rows.  The result is unitary by construction; it
-    is still verified to 1e-8 in max norm.
+    phases applied to its rows.  The result is unitary by construction; the
+    raw-frame U is still verified to 1e-8 in max norm.
     """
     if frame not in ("raw", "primed"):
         raise ValueError(f"frame must be 'raw' or 'primed', got {frame!r}")
-    lam, v = build_generator(params, pulse).eigensystem()
-    gate = (v * np.exp(0.5j * lam * pulse.duration)) @ v.T
+    gate = _unitary_gate(*build_generator(params, pulse).eigensystem(), pulse.duration)
     if frame == "primed":
         gate = frame_phase_factors(params, pulse.duration)[:, None] * gate
-    defect = np.max(np.abs(gate.conj().T @ gate - np.eye(4)))
+    return gate
+
+
+def _unitary_gate(lam: np.ndarray, v: np.ndarray, tau: float) -> GateMatrix:
+    """Raw-frame gate U = (V e^{i Lambda tau/2}) V^T of an eigensystem of B, checked unitary."""
+    gate = (v * np.exp(0.5j * lam * tau)) @ v.T
+    defect = np.abs(gate.conj().T @ gate - _EYE4).max()
     if defect > TOMOGRAPHY_UNITARITY_TOL:
         raise RuntimeError(f"tomography produced a non-unitary matrix (defect {defect:.3e})")
     return gate
@@ -96,7 +104,7 @@ def extract_gcn_phases(gate: GateMatrix) -> GcnPhases:
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (4, 4):
         raise ValueError(f"gate must be 4x4, got {gate.shape}")
-    defect = np.max(np.abs(gate.conj().T @ gate - np.eye(4)))
+    defect = np.abs(gate.conj().T @ gate - _EYE4).max()
     if defect > 1e-6:
         raise ValueError(f"gate is not unitary within 1e-6 (defect {defect:.3e})")
 

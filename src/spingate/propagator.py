@@ -59,10 +59,15 @@ class Generator:
         so each parameter point is diagonalized once and every quantity
         (states, gates, transfers) follows in closed form from (lam, V).
         """
-        if not np.all(np.isfinite(self.matrix_b)):
-            raise ValueError("generator contains non-finite entries")
-        # looked up per call, so a wrapper put on numpy.linalg sees every one
-        return np.linalg.eigh(self.matrix_b)
+        return _eigensystem(self.matrix_b)
+
+
+def _eigensystem(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`Generator.eigensystem` of a B already known to be symmetric."""
+    if not np.isfinite(b).all():
+        raise ValueError("generator contains non-finite entries")
+    # looked up per call, so a wrapper put on numpy.linalg sees every one
+    return np.linalg.eigh(b)
 
 
 def build_generator(params: SystemParams, pulse: PulseSpec) -> Generator:
@@ -78,20 +83,33 @@ def build_generator(params: SystemParams, pulse: PulseSpec) -> Generator:
         B[10,10] = B[11,11] = 0                  B[01,11] = B[11,01] = a1
                                                  B[10,11] = B[11,10] = a2
     """
+    _check_resonance(params, pulse.carrier)
+    return Generator(
+        _generator_matrix(params.omega1, params.omega2, params.coupling_j, pulse.a1, pulse.a2)
+    )
+
+
+def _check_resonance(params: SystemParams, carrier: float) -> None:
     resonant = params.resonant_carrier
-    if abs(pulse.carrier - resonant) > RESONANCE_RTOL * max(1.0, abs(resonant)):
+    if abs(carrier - resonant) > RESONANCE_RTOL * max(1.0, abs(resonant)):
         raise ResonanceError(
-            f"carrier {pulse.carrier!r} is off resonance: the constant-coefficient "
+            f"carrier {carrier!r} is off resonance: the constant-coefficient "
             f"rotating-frame equations require omega = omega2 - J = {resonant!r}"
         )
+
+
+def _generator_matrix(
+    omega1: float, omega2: float, coupling_j: float, a1: float, a2: float
+) -> np.ndarray:
+    """B from plain numbers, the one assembly behind `build_generator` and the pure-CN search."""
     b = np.zeros((4, 4))
-    b[0, 0] = -2.0 * (params.omega2 - params.omega1 - 2.0 * params.coupling_j)
-    b[1, 1] = -2.0 * (params.omega2 - params.omega1)
-    b[0, 1] = b[1, 0] = pulse.a2
-    b[0, 2] = b[2, 0] = pulse.a1
-    b[1, 3] = b[3, 1] = pulse.a1
-    b[2, 3] = b[3, 2] = pulse.a2
-    return Generator(b)
+    b[0, 0] = -2.0 * (omega2 - omega1 - 2.0 * coupling_j)
+    b[1, 1] = -2.0 * (omega2 - omega1)
+    b[0, 1] = b[1, 0] = a2
+    b[0, 2] = b[2, 0] = a1
+    b[1, 3] = b[3, 1] = a1
+    b[2, 3] = b[3, 2] = a2
+    return b
 
 
 def evolve_exact(state: QState, gen: Generator, t: float) -> QState:

@@ -157,11 +157,6 @@ class TestTunePureCn:
         assert first.objective == second.objective
         assert first.evaluations == second.evaluations
 
-    def test_one_diagonalization_per_evaluation(self, params12, pulse12, eigh_calls):
-        spec = SearchSpec(free=("omega1", "a2", "duration"), tie_a1=True)
-        result = tune_pure_cn(params12, pulse12, spec)
-        assert len(eigh_calls) == result.evaluations
-
     def test_recalibrated_duration_search(self, params12, pulse12):
         spec = SearchSpec(free=("omega1", "a2"), tie_a1=True, recalibrate_duration=True)
         result = tune_pure_cn(params12, pulse12, spec)
@@ -210,3 +205,59 @@ class TestTunePureCn:
         pulse = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
         with pytest.raises(ValueError, match="duration"):
             tune_pure_cn(params12, pulse, SearchSpec(free=("duration",)))
+
+
+#: search kind -> (start, SearchSpec fields, evaluations the search takes); the
+#: simplex follows the last bit of every objective value, so a change in any
+#: count means the arithmetic of an evaluation changed, not only its speed
+SEARCHES = {
+    "tie_a1": ("params12", dict(free=("omega1", "a2", "duration"), tie_a1=True), 74),
+    "a2_only": ("params12", dict(free=("a2",)), 921),
+    "untied": ("params12", dict(free=("omega1", "a2", "duration")), 74),
+    "duration_only": ("params24", dict(free=("duration",), objective_tol=1e-5), 183),
+    "recalibrate": (
+        "params12",
+        dict(free=("omega1", "a2"), tie_a1=True, recalibrate_duration=True),
+        61,
+    ),
+}
+
+
+@pytest.fixture(params=list(SEARCHES))
+def search(request):
+    """(params, start pulse, spec, expected evaluations) of one search kind."""
+    start, fields, evaluations = SEARCHES[request.param]
+    if start == "params12":
+        params, pulse = request.getfixturevalue("params12"), request.getfixturevalue("pulse12")
+    else:
+        params = request.getfixturevalue("params24")
+        template = request.getfixturevalue("pulse24_template")
+        pulse = replace(template, duration=calibrate_pi_duration(params, template))
+    return params, pulse, SearchSpec(**fields), evaluations
+
+
+class TestLeanSearchEvaluation:
+    def test_objective_equals_public_objective_exactly(self, search):
+        params, pulse, spec, _ = search
+        result = tune_pure_cn(params, pulse, spec)
+        assert result.objective == pure_cn_objective(result.params, result.pulse)
+
+    def test_evaluation_count_unchanged(self, search):
+        params, pulse, spec, evaluations = search
+        assert tune_pure_cn(params, pulse, spec).evaluations == evaluations
+
+    def test_one_eigh_per_evaluation(self, search, eigh_calls):
+        params, pulse, spec, _ = search
+        result = tune_pure_cn(params, pulse, spec)
+        assert len(eigh_calls) == result.evaluations
+
+    def test_point_outside_field_ranges_raises_constructor_error(self, params12, pulse12):
+        # a window of 2 reaches a2 = 0.1 - 2 * 0.1 = -0.1
+        with pytest.raises(ValueError, match=r"^a2 must be >= 0, got -0\.1$"):
+            tune_pure_cn(params12, pulse12, SearchSpec(free=("a2",), rel_window=2))
+
+    def test_recalibrating_without_drive_raises_pi_timing_error(self, params12, pulse12):
+        undriven = replace(pulse12, a2=0.0)
+        spec = SearchSpec(free=("omega1",), recalibrate_duration=True)
+        with pytest.raises(ValueError, match="pi-pulse calibration requires a2 > 0"):
+            tune_pure_cn(params12, undriven, spec)

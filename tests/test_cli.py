@@ -239,6 +239,23 @@ class TestCalibrate:
         code = run_cli("calibrate", "--preset", "params12")
         assert code == 1
 
+    def test_pi_duration_report_diagonalizes_once(self, tmp_path, eigh_calls):
+        code = run_cli("calibrate", "--preset", "params12", "--pi-duration",
+                       "--out", str(tmp_path / "tuned.cfg"))
+        assert code == 0
+        assert len(eigh_calls) == 1
+
+    def test_recalibrated_search_diagonalizes_once_per_evaluation(self, tmp_path, eigh_calls):
+        out = tmp_path / "recal.cfg"
+        code = run_cli(
+            "calibrate", "--preset", "params12", "--pure-cn", "--free", "omega1,a2",
+            "--tie-a1", "--recalibrate-duration", "--out", str(out),
+        )
+        assert code == 0
+        values, _ = read_report(out)
+        # one more for the pi timing of the 'auto' starting duration
+        assert len(eigh_calls) == int(values["evaluations"]) + 1
+
 
 class TestSweep:
     def test_grid_rows_ordered(self, tmp_path):
@@ -292,9 +309,17 @@ class TestSweep:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}")
+        assert err.startswith(f"error: line 1: {message}")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_auto_duration_sweep_diagonalizes_once_per_point(self, tmp_path, eigh_calls):
+        code = run_cli(
+            "sweep", "--preset", "params12", "--param", "a1", "--min", "0.45",
+            "--max", "0.55", "--steps", "5", "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 0
+        assert len(eigh_calls) == 5
 
     def test_resonance_moving_parameter_rejected(self, tmp_path):
         code = run_cli(
@@ -302,3 +327,33 @@ class TestSweep:
             "--min", "99", "--max", "101", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+
+class TestConfigErrorLines:
+    CONFIG = "omega1 = 500\nomega2 = 100\ncoupling_j = 5\na1 = 0.5\na2 = 0.1\n"
+
+    def test_range_error_names_config_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("# pulse\n" + self.CONFIG + "duration = -1\n")
+        code = run_cli("tomography", "--config", str(config), "--out", str(tmp_path / "g.txt"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 7: duration must be finite and >= 0, got -1.0\n"
+
+    def test_flag_range_error_names_no_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(self.CONFIG + "sample_dt = 0.05\ninitial = digital:11\n")
+        code = run_cli("simulate", "--config", str(config), "--sample-dt", "-1",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: sample_dt must be positive and finite, got -1.0\n"
+
+    def test_flag_overrides_bad_config_value(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(self.CONFIG + "sample_dt = -1\ninitial = digital:11\n")
+        out = tmp_path / "x.csv"
+        code = run_cli("simulate", "--config", str(config), "--sample-dt", "0.5",
+                       "--out", str(out))
+        assert code == 0
+        assert out.exists()

@@ -98,6 +98,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="a1"):
             parse_config(GOOD.replace("a1 = 0.5", "a1 = -0.5"))
 
+    @pytest.mark.parametrize(
+        "good, bad, message",
+        [("a1 = 0.5", "a1 = -0.5", "line 6: a1 must be >= 0, got -0.5"),
+         ("a2 = 0.1", "a2 = inf", "line 7: a2 must be >= 0, got inf"),
+         ("duration = auto", "duration = -1", "line 8: duration must be finite and >= 0"),
+         ("frame = primed", "frame = lab", "line 10: frame must be 'raw' or 'primed'"),
+         ("sample_dt = 0.05", "sample_dt = 0", "line 11: sample_dt must be positive")],
+    )
+    def test_range_error_names_its_line(self, good, bad, message):
+        with pytest.raises(ConfigError, match=f"^{message}") as info:
+            parse_config(GOOD.replace(good, bad))
+        assert info.value.line == int(message.split()[1].rstrip(":"))
+
+    def test_range_error_names_last_assignment(self):
+        with pytest.raises(ConfigError, match="^line 13: a2 must be >= 0"):
+            parse_config(GOOD + "a2 = -1\n")
+        # an out-of-range value that a later line replaces is no error
+        assert parse_config(GOOD.replace("a2 = 0.1", "a2 = -1") + "a2 = 0.2\n").a2 == 0.2
+
+    def test_computed_carrier_error_names_no_line(self):
+        # carrier = auto resolves to omega2 - J = -1, which no single line set
+        with pytest.raises(ConfigError, match="^carrier must be positive") as info:
+            parse_config(GOOD.replace("omega2 = 100", "omega2 = 4"))
+        assert info.value.line is None
+
 
 class TestInitialState:
     def test_digital(self):
