@@ -19,6 +19,7 @@ numpy at run time.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,21 +68,13 @@ def calibrate_pi_duration(params: SystemParams, pulse_template: PulseSpec) -> fl
     ValueError
         If a2 is not positive (no resonant drive, no pi condition).
     """
-    return _pi_calibration(params, pulse_template)[0]
-
-
-def _pi_calibration(
-    params: SystemParams, pulse_template: PulseSpec
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """`calibrate_pi_duration` and the eigensystem of B it searched on: (tau, lam, v)."""
-    if pulse_template.a2 <= 0:
-        raise ValueError("pi-pulse calibration requires a2 > 0")
-    lam, v = build_generator(params, pulse_template).eigensystem()
-    return _pi_duration(lam, v, pulse_template.a2), lam, v
+    return _pi_duration(*build_generator(params, pulse_template).eigensystem(), pulse_template.a2)
 
 
 def _pi_duration(lam: np.ndarray, v: np.ndarray, a2: float) -> float:
-    """Golden-section pi timing on the eigensystem (lam, v) of B; the caller checks a2 > 0."""
+    """`calibrate_pi_duration` on the eigensystem (lam, v) of B."""
+    if a2 <= 0:
+        raise ValueError("pi-pulse calibration requires a2 > 0")
     tau_nominal = np.pi / a2
     lo, hi = _PI_BRACKET[0] * tau_nominal, _PI_BRACKET[1] * tau_nominal
     tol = _PI_REL_TOL * tau_nominal
@@ -220,7 +213,8 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     `objective_tol` and budget remains, the search reseeds
     deterministically: first from the best point of a fixed coarse grid
     over the box, then from progressively tighter simplexes around the best
-    point so far.  Exhausting the budget is not an error; the result is
+    point so far.  `max_evaluations` counts every evaluation, restarts and
+    grid included.  Exhausting the budget is not an error; the result is
     returned flagged as non-converged.
     """
     center = {"omega1": params.omega1, "a2": pulse.a2, "duration": pulse.duration}
@@ -233,8 +227,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     centers = [center[n] for n in spec.free]
     omega2, coupling_j = params.omega2, params.coupling_j
     recalibrate = spec.recalibrate_duration and "duration" not in spec.free
-
-    state = {"evals": 0, "best_val": np.inf, "best_point": None}
+    evaluations, best_val, best_point = 0, np.inf, None
 
     def build_point(omega1, a1, a2, duration) -> tuple[SystemParams, PulseSpec]:
         return (
@@ -242,87 +235,77 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
             PulseSpec(carrier=pulse.carrier, a1=a1, a2=a2, duration=duration),
         )
 
-    def objective(z: np.ndarray) -> float:
+    def objective(z) -> float:
         # scored from plain numbers: no dataclass per point, one B, one eigh, one gate
+        nonlocal evaluations, best_val, best_point
+        if evaluations == spec.max_evaluations:
+            raise _BudgetSpent
         x = dict(center)
-        z = np.minimum(np.maximum(z, -1.0), 1.0)
-        for name, zi, ci, wi in zip(spec.free, z.tolist(), centers, windows):
-            x[name] = ci + zi * wi
+        for name, zi, ci, wi in zip(spec.free, z, centers, windows):
+            x[name] = ci + min(max(zi, -1.0), 1.0) * wi
         x["a1"] = x["a2"] * x["omega1"] / omega2 if spec.tie_a1 else pulse.a1
         if not (
             0.0 < x["omega1"] < np.inf
             and 0.0 <= x["a1"] < np.inf
             and 0.0 <= x["a2"] < np.inf
             and 0.0 <= x["duration"] < np.inf
-            and (x["a2"] > 0.0 or not recalibrate)
         ):
-            # the constructors, or pi timing, raise the error this point deserves
-            calibrate_pi_duration(*build_point(**x))
-        b = _generator_matrix(x["omega1"], omega2, coupling_j, x["a1"], x["a2"])
-        lam, v = _eigensystem(b)
+            build_point(**x)  # the constructors raise the error this point deserves
+        lam, v = _eigensystem(_generator_matrix(x["omega1"], omega2, coupling_j, x["a1"], x["a2"]))
         if recalibrate:
             x["duration"] = _pi_duration(lam, v, x["a2"])
         value = _objective(lam, v, x["duration"])
-        state["evals"] += 1
-        if value < state["best_val"]:
-            state["best_val"] = value
-            state["best_point"] = x
+        evaluations += 1
+        if value < best_val:
+            best_val, best_point = value, x
         return value
 
-    def run_simplex(simplex) -> None:
-        _nelder_mead(
-            objective,
-            simplex,
-            max_evals=spec.max_evaluations - state["evals"],
-            done=lambda: state["best_val"] <= spec.objective_tol,
-        )
+    def done() -> bool:
+        return best_val <= spec.objective_tol
+
+    def simplex(z: list[float], steps: list[float]) -> list[list[float]]:
+        """z and one vertex per coordinate k, moved by steps[k] along k."""
+        return [z] + [
+            [zj + (step if j == k else 0.0) for j, zj in enumerate(z)]
+            for k, step in enumerate(steps)
+        ]
 
     ndim = len(spec.free)
-    # fixed initial simplex: start plus +0.25%-of-start per coordinate
-    z0 = np.zeros(ndim)
-    simplex = [z0]
-    for k in range(ndim):
-        vertex = z0.copy()
-        vertex[k] = min(1.0, 0.0025 * abs(centers[k]) / windows[k])
-        simplex.append(vertex)
-    run_simplex(simplex)
+    axis = np.linspace(-1.0, 1.0, {1: 65, 2: 13, 3: 7}[ndim]).tolist()
+    try:
+        # fixed initial simplex: start plus +0.25%-of-start per coordinate
+        steps = [min(1.0, 0.0025 * abs(c) / w) for c, w in zip(centers, windows)]
+        _nelder_mead(objective, simplex([0.0] * ndim, steps), done)
+        # deterministic reseeding while the tolerance is unmet
+        for stage in range(1, 9):
+            if done():
+                break
+            if stage == 1:
+                for z in itertools.product(axis, repeat=ndim):  # a coarse grid over the box
+                    objective(z)
+            zb = [
+                min(max((best_point[n] - c) / w, -1.0), 1.0)
+                for n, c, w in zip(spec.free, centers, windows)
+            ]
+            _nelder_mead(objective, simplex(zb, [0.02 / stage] * ndim), done)
+    except _BudgetSpent:
+        pass
 
-    # deterministic reseeding while budget remains and tolerance is unmet
-    grid_points = {1: 65, 2: 13, 3: 7}[ndim]
-    stage = 0
-    while state["best_val"] > spec.objective_tol and state["evals"] < spec.max_evaluations:
-        stage += 1
-        if stage == 1:
-            axes = [np.linspace(-1.0, 1.0, grid_points)] * ndim
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ndim)
-            for z in mesh:
-                if state["evals"] >= spec.max_evaluations:
-                    break
-                objective(z)
-        best = state["best_point"]
-        zb = np.array([(best[n] - c) / w for n, c, w in zip(spec.free, centers, windows)])
-        zb = np.minimum(np.maximum(zb, -1.0), 1.0)
-        size = 0.02 / stage
-        shrunk = [zb] + [zb + size * np.eye(ndim)[k] for k in range(ndim)]
-        run_simplex(shrunk)
-        if stage >= 8:
-            break
-
-    best_params, best_pulse = build_point(**state["best_point"])
+    best_params, best_pulse = build_point(**best_point)
     return TuneResult(
         params=best_params,
         pulse=best_pulse,
-        objective=float(state["best_val"]),
-        converged=bool(state["best_val"] <= spec.objective_tol),
-        evaluations=int(state["evals"]),
+        objective=best_val,
+        converged=done(),
+        evaluations=evaluations,
     )
 
 
 class _BudgetSpent(Exception):
-    pass
+    """Raised in place of an evaluation past the search budget."""
 
 
-def _nelder_mead(f, simplex, max_evals: int, done) -> None:
+def _nelder_mead(f, simplex, done) -> None:
     """Minimize f from `simplex` (n+1 vertices of length n) by the Nelder-Mead method.
 
     Standard coefficients: reflection 1, expansion 2, outside and inside
@@ -331,61 +314,60 @@ def _nelder_mead(f, simplex, max_evals: int, done) -> None:
     the initial evaluation and after every iteration.  Before each
     iteration the search stops once the simplex spread is <= 1e-12 and the
     value spread <= 1e-15; after each completed iteration it stops when
-    `done()` is true.  At most `max_evals` evaluations are made: one past
-    the budget is not made and its iteration is abandoned.  Every move,
-    tie break and stop matches scipy.optimize.minimize(method="Nelder-Mead")
-    given the same simplex, maxfev and xatol/fatol, evaluation for
-    evaluation.
+    `done()` is true.  f is called with a list of floats; it ends the
+    search early by raising.  Every move, tie break and stop matches
+    scipy.optimize.minimize(method="Nelder-Mead") given the same simplex
+    and xatol/fatol, evaluation for evaluation, except where four values
+    tie: the sort here is stable, and numpy's argsort, which scipy uses,
+    is not on every machine.
+
+    A simplex here has at most three coordinates, so it is kept in plain
+    Python floats: numpy's per-call overhead would outweigh the arithmetic.
     """
-    sim = np.array(simplex, dtype=float)
-    n = sim.shape[1]
-    fsim = np.full(n + 1, np.inf)
-    evals = 0
+    sim = [[float(c) for c in x] for x in simplex]
+    n = len(sim) - 1
+    fsim = [f(x) for x in sim]
+    sim, fsim = _by_value(sim, fsim)
+    while not (
+        max(abs(a - b) for x in sim[1:] for a, b in zip(x, sim[0])) <= 1e-12
+        and max(abs(fsim[0] - fx) for fx in fsim[1:]) <= 1e-15
+    ):
+        # the centroid is summed left to right, as numpy reduces: not with the
+        # built-in sum, which from Python 3.12 compensates and can round differently
+        xbar = list(sim[0])
+        for x in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, x)]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+        xr = [2 * a - b for a, b in zip(xbar, worst)]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], sim[0])]
+                    fsim[j] = f(sim[j])
+        sim, fsim = _by_value(sim, fsim)
+        if done():
+            return
 
-    def evaluate(x: np.ndarray) -> float:
-        nonlocal evals
-        if evals >= max_evals:
-            raise _BudgetSpent
-        evals += 1
-        return f(np.copy(x))
 
-    try:
-        for k in range(n + 1):
-            fsim[k] = evaluate(sim[k])
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-        while not (
-            np.max(np.abs(sim[1:] - sim[0])) <= 1e-12
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-15
-        ):
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = evaluate(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = evaluate(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = evaluate(xc)
-                    accept = fxc <= fxr
-                else:  # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = evaluate(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink towards the best vertex
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = evaluate(sim[j])
-            order = np.argsort(fsim)
-            sim, fsim = sim[order], fsim[order]
-            if done():
-                return
-    except _BudgetSpent:
-        return
-
+def _by_value(sim: list, fsim: list[float]) -> tuple[list, list[float]]:
+    """Vertices and values sorted by value; the sort is stable, so ties keep vertex order."""
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    return [sim[k] for k in order], [fsim[k] for k in order]

@@ -20,7 +20,7 @@ import numpy as np
 from .calibrate import (
     SearchSpec,
     _objective,
-    _pi_calibration,
+    _pi_duration,
     calibrate_pi_duration,
     tune_pure_cn,
 )
@@ -29,10 +29,10 @@ from .config import (
     ConfigError,
     RunConfig,
     _build_with_lines,
+    _parse_value,
     _parse_with_lines,
     emit_config,
     initial_state,
-    parse_config_lines,
 )
 from .core import (
     BASIS_LABELS,
@@ -48,7 +48,6 @@ __all__ = [
     "main",
     "CSV_HEADER",
     "write_timeseries_csv",
-    "read_timeseries_csv",
 ]
 
 CSV_HEADER = "t,re_c00,im_c00,re_c01,im_c01,re_c10,im_c10,re_c11,im_c11,norm"
@@ -71,21 +70,6 @@ def write_timeseries_csv(series: TimeSeries, path: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_timeseries_csv(path: str, frame: str = "primed") -> TimeSeries:
-    """Load a CSV written by `write_timeseries_csv` back into a TimeSeries."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for line in fh:
-            if line.strip():
-                rows.append([float(x) for x in line.strip().split(",")])
-    data = np.array(rows)
-    amps = data[:, 1:9:2] + 1j * data[:, 2:9:2]
-    return TimeSeries(t=data[:, 0], amps=amps, norm=data[:, 9], frame=frame)
-
-
 def _load_config(args) -> RunConfig:
     values: dict = {}
     lines: dict = {}  # line of each key's last assignment in the config file
@@ -103,7 +87,7 @@ def _load_config(args) -> RunConfig:
     for key in ("initial", "frame", "out", "sample_dt"):
         override = getattr(args, key, None)
         if override is not None:
-            values.update(parse_config_lines(f"{key} = {override}"))
+            values[key] = _parse_value(key, str(override))
             lines.pop(key, None)  # a flag's value has no line
     return _build_with_lines(values, lines)
 
@@ -116,9 +100,10 @@ def _resolve_duration(config: RunConfig) -> float:
 
 def _resolve_eigensystem(config: RunConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """`_resolve_duration` and the eigensystem of the config's B, from one eigh."""
+    # the duration does not enter B
+    lam, v = build_generator(config.system, config.pulse(duration=0.0)).eigensystem()
     if config.duration is None:
-        return _pi_calibration(config.system, config.pulse(duration=0.0))
-    lam, v = build_generator(config.system, config.pulse()).eigensystem()
+        return _pi_duration(lam, v, config.a2), lam, v
     return config.duration, lam, v
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "parse_config",
-    "parse_config_lines",
     "build_run_config",
     "emit_config",
     "initial_state",
@@ -101,17 +100,12 @@ class RunConfig:
         return PulseSpec(carrier=self.carrier, a1=self.a1, a2=self.a2, duration=duration)
 
 
-def parse_config_lines(text: str) -> dict:
-    """Parse config text into a key -> typed-value mapping.
+def _parse_with_lines(text: str) -> tuple[dict, dict[str, int]]:
+    """Config text as a key -> typed value mapping, and each key's last line.
 
-    Unknown keys, malformed lines and unparseable numbers are rejected with
+    Unknown keys, malformed lines and unparseable values are rejected with
     the offending line number.  Later assignments override earlier ones.
     """
-    return _parse_with_lines(text)[0]
-
-
-def _parse_with_lines(text: str) -> tuple[dict, dict[str, int]]:
-    """`parse_config_lines`, and the line of each key's last assignment."""
     values: dict = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -121,28 +115,32 @@ def _parse_with_lines(text: str) -> tuple[dict, dict[str, int]]:
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(
-                f"unknown key {key!r}; valid keys are {', '.join(_ALL_KEYS)}", lineno
-            )
-        if not value:
-            raise ConfigError(f"empty value for key {key!r}", lineno)
+        key = key.strip()
+        try:
+            values[key] = _parse_value(key, value.strip())
+        except ConfigError as exc:
+            raise ConfigError(str(exc), lineno) from None
         lines[key] = lineno
-        if key in _AUTO_KEYS and value == "auto":
-            values[key] = None
-        elif key in _NUMERIC_KEYS + _AUTO_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                kind = "a number or 'auto'" if key in _AUTO_KEYS else "a number"
-                raise ConfigError(f"cannot parse {value!r} for key {key!r} as {kind}", lineno)
-        elif key == "initial":
-            _parse_initial(value, lineno)  # validate eagerly, keep the spelling
-            values[key] = value
-        else:
-            values[key] = value
     return values, lines
+
+
+def _parse_value(key: str, value: str):
+    """The typed value of one `key = value` assignment, from a config line or a flag."""
+    if key not in _ALL_KEYS:
+        raise ConfigError(f"unknown key {key!r}; valid keys are {', '.join(_ALL_KEYS)}")
+    if not value:
+        raise ConfigError(f"empty value for key {key!r}")
+    if key in _AUTO_KEYS and value == "auto":
+        return None
+    if key in _NUMERIC_KEYS + _AUTO_KEYS:
+        try:
+            return float(value)
+        except ValueError:
+            kind = "a number or 'auto'" if key in _AUTO_KEYS else "a number"
+            raise ConfigError(f"cannot parse {value!r} for key {key!r} as {kind}") from None
+    if key == "initial":
+        _parse_initial(value)  # validate eagerly, keep the spelling
+    return value
 
 
 def build_run_config(values: Mapping) -> RunConfig:
@@ -200,30 +198,29 @@ def _build_with_lines(values: Mapping, lines: Mapping[str, int]) -> RunConfig:
         raise ConfigError(str(exc), lines[key]) from None
 
 
-def _parse_initial(spec: str, lineno: int | None = None) -> QState:
+def _parse_initial(spec: str) -> QState:
     if spec.startswith("digital:"):
         label = spec.split(":", 1)[1]
         try:
             return digital_state(label)
         except ValueError as exc:
-            raise ConfigError(str(exc), lineno)
+            raise ConfigError(str(exc))
     if spec == "eq21":
         return superposition_state(EQ21_AMPS)
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != 4:
         raise ConfigError(
             f"initial state must be 'digital:<ik>', 'eq21', or 4 comma-separated "
-            f"complex amplitudes; got {spec!r}",
-            lineno,
+            f"complex amplitudes; got {spec!r}"
         )
     try:
         amps = [complex(p.replace(" ", "")) for p in parts]
     except ValueError:
-        raise ConfigError(f"cannot parse complex amplitudes in {spec!r}", lineno)
+        raise ConfigError(f"cannot parse complex amplitudes in {spec!r}")
     try:
         return superposition_state(amps)
     except ValueError as exc:
-        raise ConfigError(f"invalid initial state {spec!r}: {exc}", lineno)
+        raise ConfigError(f"invalid initial state {spec!r}: {exc}")
 
 
 def initial_state(config: RunConfig) -> QState | None:

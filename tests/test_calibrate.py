@@ -14,6 +14,7 @@ from spingate import (
     tomography,
     tune_pure_cn,
 )
+from spingate import calibrate
 from spingate.config import PARAMS24_DURATION
 
 
@@ -261,3 +262,55 @@ class TestLeanSearchEvaluation:
         spec = SearchSpec(free=("omega1",), recalibrate_duration=True)
         with pytest.raises(ValueError, match="pi-pulse calibration requires a2 > 0"):
             tune_pure_cn(params12, undriven, spec)
+
+
+@pytest.fixture
+def a2_only_budgets(params12, pulse12, monkeypatch):
+    """Budgets that end the params12 a2-only search inside each of its stages.
+
+    The stages are found from the unlimited search: the evaluations made
+    before each Nelder-Mead run (counted as eigendecompositions) give where
+    the first run ends, the 65-point grid follows it, and the reseeds
+    start after the grid.
+    """
+    evaluations, starts = [0], []
+    eigensystem, nelder_mead = calibrate._eigensystem, calibrate._nelder_mead
+
+    def counted(b):
+        evaluations[0] += 1
+        return eigensystem(b)
+
+    def recorded(f, simplex, done):
+        starts.append(evaluations[0])
+        return nelder_mead(f, simplex, done)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calibrate, "_eigensystem", counted)
+        patch.setattr(calibrate, "_nelder_mead", recorded)
+        tune_pure_cn(params12, pulse12, SearchSpec(free=("a2",)))
+    first_run_end, reseed, next_reseed = starts[1] - 65, starts[1], starts[2]
+    budgets = {
+        "initial_simplex_1": 1,
+        "initial_simplex_2": 2,
+        "first_run": first_run_end // 2,
+        "grid": first_run_end + 65 // 2,
+        "reseed": (reseed + next_reseed) // 2,
+    }
+    assert 2 < budgets["first_run"] < first_run_end < budgets["grid"] < reseed
+    assert reseed < budgets["reseed"] < next_reseed
+    return budgets
+
+
+class TestBudget:
+    """`max_evaluations` counts every evaluation, whichever stage spends it."""
+
+    @pytest.mark.parametrize(
+        "stage", ["initial_simplex_1", "initial_simplex_2", "first_run", "grid", "reseed"]
+    )
+    def test_budget_ends_search_in_every_stage(self, params12, pulse12, a2_only_budgets, stage):
+        budget = a2_only_budgets[stage]
+        spec = SearchSpec(free=("a2",), max_evaluations=budget)
+        result = tune_pure_cn(params12, pulse12, spec)
+        assert result.evaluations == budget
+        assert result.converged is False
+        assert result.objective == pure_cn_objective(result.params, result.pulse)

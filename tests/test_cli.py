@@ -1,13 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spingate import calibrate_pi_duration
-from spingate.cli import CSV_HEADER, main, read_timeseries_csv
+from spingate import TimeSeries, calibrate_pi_duration
+from spingate.cli import CSV_HEADER, main
 from spingate.config import PARAMS24_DURATION, parse_config
 
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def read_timeseries_csv(path: str, frame: str = "primed") -> TimeSeries:
+    """Load a CSV written by `spingate.cli.write_timeseries_csv` back into a TimeSeries."""
+    lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
+    assert lines[0] == CSV_HEADER, f"unexpected CSV header {lines[0]!r}"
+    data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    amps = data[:, 1:9:2] + 1j * data[:, 2:9:2]
+    return TimeSeries(t=data[:, 0], amps=amps, norm=data[:, 9], frame=frame)
 
 
 def read_report(path):
@@ -348,6 +359,31 @@ class TestConfigErrorLines:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: sample_dt must be positive and finite, got -1.0\n"
+
+    @pytest.mark.parametrize(
+        "initial, message",
+        [("digital:99", "invalid basis label '99'"),
+         ("1,2", "initial state must be 'digital:<ik>', 'eq21', or 4 comma-separated")],
+    )
+    def test_bad_initial_flag_names_no_line(self, tmp_path, capsys, initial, message):
+        out = tmp_path / "x.csv"
+        code = run_cli("simulate", "--preset", "params12", "--initial", initial,
+                       "--sample-dt", "0.05", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "line 1:" not in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_initial_in_config_names_its_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(self.CONFIG + "sample_dt = 0.05\ninitial = digital:99\n")
+        code = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 7: invalid basis label '99'")
+        assert "Traceback" not in err
 
     def test_flag_overrides_bad_config_value(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -9,7 +9,6 @@ from spingate.config import (
     build_run_config,
     emit_config,
     initial_state,
-    parse_config_lines,
 )
 
 GOOD = """\
@@ -170,9 +169,8 @@ class TestPresets:
         assert config.duration == PARAMS24_DURATION
 
     def test_preset_overridable(self):
-        values = dict(PRESETS["params12"])
-        values.update(parse_config_lines("a2 = 0.11\nframe = raw"))
-        config = build_run_config(values)
+        preset = emit_config(build_run_config(PRESETS["params12"]))
+        config = parse_config(preset + "a2 = 0.11\nframe = raw\n")
         assert config.a2 == 0.11
         assert config.frame == "raw"
 

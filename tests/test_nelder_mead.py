@@ -2,7 +2,8 @@
 
 `spingate.calibrate._nelder_mead` reproduces
 `scipy.optimize.minimize(method="Nelder-Mead")` given the same initial
-simplex, `maxfev` and `xatol=1e-12, fatol=1e-15`.  scipy is the oracle
+simplex and `xatol=1e-12, fatol=1e-15`, with the budget spent by an
+objective that raises where scipy's `maxfev` stops.  scipy is the oracle
 here only; the package itself must not import it.
 """
 
@@ -16,7 +17,7 @@ import pytest
 from scipy.optimize import minimize
 
 from spingate import PulseSpec, SystemParams, pure_cn_objective
-from spingate.calibrate import _nelder_mead
+from spingate.calibrate import _BudgetSpent, _nelder_mead
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,14 +25,21 @@ UNLIMITED = 10**6
 
 
 class Recorder:
-    """Objective wrapper that keeps every evaluated point and the best value."""
+    """Objective wrapper that keeps every evaluated point and the best value.
 
-    def __init__(self, f):
+    Like `tune_pure_cn`'s objective, it raises `_BudgetSpent` in place of
+    any evaluation past `budget`.
+    """
+
+    def __init__(self, f, budget=UNLIMITED):
         self.f = f
+        self.budget = budget
         self.points = []
         self.best = np.inf
 
     def __call__(self, x):
+        if len(self.points) == self.budget:
+            raise _BudgetSpent
         self.points.append(np.array(x, copy=True))
         value = float(self.f(x))
         self.best = min(self.best, value)
@@ -82,9 +90,12 @@ OBJECTIVES = {
 
 
 def _run_both(f, simplex, budget, tol=None):
-    ours, theirs = Recorder(f), Recorder(f)
+    ours, theirs = Recorder(f, budget), Recorder(f)
     done = (lambda: ours.best <= tol) if tol is not None else (lambda: False)
-    _nelder_mead(ours, simplex, max_evals=budget, done=done)
+    try:
+        _nelder_mead(ours, simplex, done)
+    except _BudgetSpent:
+        pass
 
     def stop(intermediate_result):
         if tol is not None and theirs.best <= tol:

@@ -3,6 +3,8 @@
 import inspect
 
 import spingate
+import spingate.cli
+import spingate.config
 from spingate import SearchSpec, calibrate_pi_duration, extract_gcn_phases
 
 
@@ -32,4 +34,12 @@ def test_public_surface_is_pinned():
         ("recalibrate_duration", False),
         ("max_evaluations", 2000),
         ("objective_tol", 1e-6),
+    ]
+
+
+def test_module_surfaces_are_pinned():
+    assert sorted(spingate.cli.__all__) == ["CSV_HEADER", "main", "write_timeseries_csv"]
+    assert sorted(spingate.config.__all__) == [
+        "ConfigError", "EQ21_AMPS", "PARAMS24_DURATION", "PRESETS", "RunConfig",
+        "build_run_config", "emit_config", "initial_state", "parse_config",
     ]
