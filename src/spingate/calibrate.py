@@ -1,9 +1,11 @@
 """Pulse and system calibration against gate-level objectives.
 
 Two tasks live here.  The first is operational pi-pulse timing: the
-duration maximizing population transfer from |11> to |10>, located by
-golden-section search.  The nominal pi / a2 is only a starting bracket; the
-operational optimum is what the gate scenarios use.
+duration maximizing population transfer from |11> to |10>.  The
+golden-section search itself is `Generator.pi_duration`, on the one
+eigensystem of the point; `calibrate_pi_duration` is its public entry.  The
+nominal pi / a2 is only a starting bracket; the operational optimum is what
+the gate scenarios use.
 
 The second is the pure controlled-NOT search.  In the raw rotating frame
 the free-evolution phases of c00 and c01 wind at hundreds of radians per
@@ -24,15 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CalibrationError, PulseSpec, SystemParams
-from .gates import _unitary_gate
-from .propagator import (
-    _check_resonance,
-    _eigensystem,
-    _generator_matrix,
-    build_generator,
-    pi_transfer,
-)
+from .core import PulseSpec, SystemParams
+from .propagator import Generator, build_generator, check_resonance
 
 __all__ = [
     "calibrate_pi_duration",
@@ -44,66 +39,15 @@ __all__ = [
 
 _FREE_ORDER = ("omega1", "a2", "duration")
 
-# a Python float, so the durations it produces print as plain numbers
-_INV_PHI = float((np.sqrt(5.0) - 1.0) / 2.0)
-
-#: pi-timing search interval and final bracket width, in units of pi / a2
-_PI_BRACKET = (0.8, 1.2)
-_PI_REL_TOL = 1e-6
-
 
 def calibrate_pi_duration(params: SystemParams, pulse_template: PulseSpec) -> float:
-    """Duration maximizing |c10(tau)|^2 for initial |11>.
+    """Duration maximizing |c10(tau)|^2 for initial |11>: `Generator.pi_duration`.
 
-    Golden-section search on [0.8, 1.2] * (pi / a2), refined until the
-    bracket is narrower than 1e-6 * (pi / a2).  The template's own duration
-    is ignored.  B is diagonalized once; every probe is the closed-form
-    `pi_transfer` on that eigensystem.
-
-    Raises
-    ------
-    CalibrationError
-        If the search converges onto a bracket endpoint, i.e. there is no
-        interior maximum; the endpoint transfer values are reported.
-    ValueError
-        If a2 is not positive (no resonant drive, no pi condition).
+    Golden-section search on [0.8, 1.2] * (pi / a2) on one eigensystem of
+    B; the template's own duration is ignored.  Raises `CalibrationError`
+    when there is no interior maximum, `ValueError` unless a2 > 0.
     """
-    return _pi_duration(*build_generator(params, pulse_template).eigensystem(), pulse_template.a2)
-
-
-def _pi_duration(lam: np.ndarray, v: np.ndarray, a2: float) -> float:
-    """`calibrate_pi_duration` on the eigensystem (lam, v) of B."""
-    if a2 <= 0:
-        raise ValueError("pi-pulse calibration requires a2 > 0")
-    tau_nominal = np.pi / a2
-    lo, hi = _PI_BRACKET[0] * tau_nominal, _PI_BRACKET[1] * tau_nominal
-    tol = _PI_REL_TOL * tau_nominal
-
-    f = lambda tau: pi_transfer(lam, v, tau)
-    f_lo, f_hi = f(lo), f(hi)
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    f_c, f_d = f(c), f(d)
-    while (b - a) > tol:
-        if f_c > f_d:
-            b, d, f_d = d, c, f_c
-            c = b - _INV_PHI * (b - a)
-            f_c = f(c)
-        else:
-            a, c, f_c = c, d, f_d
-            d = a + _INV_PHI * (b - a)
-            f_d = f(d)
-    tau_star = 0.5 * (a + b)
-    f_star = f(tau_star)
-    at_edge = tau_star - lo < 2.0 * tol or hi - tau_star < 2.0 * tol
-    if at_edge or f_star <= max(f_lo, f_hi):
-        raise CalibrationError(
-            f"no interior transfer maximum in [{lo!r}, {hi!r}]: "
-            f"endpoint transfers are {f_lo!r} and {f_hi!r}, "
-            f"best interior value {f_star!r} at {tau_star!r}"
-        )
-    return float(tau_star)
+    return build_generator(params, pulse_template).pi_duration()
 
 
 def pure_cn_objective(params: SystemParams, pulse: PulseSpec) -> float:
@@ -114,19 +58,7 @@ def pure_cn_objective(params: SystemParams, pulse: PulseSpec) -> float:
     clean pi-pulse, so this target is the 'pure controlled-NOT up to an
     irrelevant overall phase'.
     """
-    return _objective(*build_generator(params, pulse).eigensystem(), pulse.duration)
-
-
-def _objective(lam: np.ndarray, v: np.ndarray, tau: float) -> float:
-    """`pure_cn_objective` at duration tau from the eigensystem (lam, v) of B.
-
-    1 - |tr((i CN)^dag U)| / 4, with the trace written out: (i CN)^dag U
-    has -i times U[0,0], U[1,1], U[3,2], U[2,3] on its diagonal, and the
-    sum is grouped as np.trace sums four complex numbers, so the value has
-    the bits of `gate_fidelity`'s.
-    """
-    g = _unitary_gate(lam, v, tau)
-    return 1.0 - float(abs((g[0, 0] + g[1, 1]) + (g[3, 2] + g[2, 3])) / 4.0)
+    return build_generator(params, pulse).objective(pulse.duration)
 
 
 @dataclass(frozen=True)
@@ -222,7 +154,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         if center[name] == 0.0:
             raise ValueError(f"cannot search {name!r} from a starting value of 0")
     # carrier, omega2 and J are the same at every point of the search
-    _check_resonance(params, pulse.carrier)
+    check_resonance(params, pulse.carrier)
     windows = [spec.window_for(n) * abs(center[n]) for n in spec.free]
     centers = [center[n] for n in spec.free]
     omega2, coupling_j = params.omega2, params.coupling_j
@@ -236,7 +168,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         )
 
     def objective(z) -> float:
-        # scored from plain numbers: no dataclass per point, one B, one eigh, one gate
+        # scored from plain numbers: no dataclass per point, one Generator, one gate
         nonlocal evaluations, best_val, best_point
         if evaluations == spec.max_evaluations:
             raise _BudgetSpent
@@ -251,10 +183,10 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
             and 0.0 <= x["duration"] < np.inf
         ):
             build_point(**x)  # the constructors raise the error this point deserves
-        lam, v = _eigensystem(_generator_matrix(x["omega1"], omega2, coupling_j, x["a1"], x["a2"]))
+        gen = Generator(x["omega1"], omega2, coupling_j, x["a1"], x["a2"])
         if recalibrate:
-            x["duration"] = _pi_duration(lam, v, x["a2"])
-        value = _objective(lam, v, x["duration"])
+            x["duration"] = gen.pi_duration()
+        value = gen.objective(x["duration"])
         evaluations += 1
         if value < best_val:
             best_val, best_point = value, x

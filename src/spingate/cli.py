@@ -17,23 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import (
-    SearchSpec,
-    _objective,
-    _pi_duration,
-    calibrate_pi_duration,
-    tune_pure_cn,
-)
-from .config import (
-    PRESETS,
-    ConfigError,
-    RunConfig,
-    _build_with_lines,
-    _parse_value,
-    _parse_with_lines,
-    emit_config,
-    initial_state,
-)
+from .calibrate import SearchSpec, tune_pure_cn
+from .config import PRESETS, ConfigError, RunConfig, emit_config, initial_state, load_config
 from .core import (
     BASIS_LABELS,
     CalibrationError,
@@ -41,8 +26,8 @@ from .core import (
     ResonanceError,
     TimeSeries,
 )
-from .gates import cn_matrix, extract_gcn_phases, gate_fidelity, tomography
-from .propagator import build_generator, pi_transfer, run_timeseries
+from .gates import cn_matrix, extract_gcn_phases, gate_fidelity
+from .propagator import Generator, build_generator
 
 __all__ = [
     "main",
@@ -70,41 +55,11 @@ def write_timeseries_csv(series: TimeSeries, path: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_config(args) -> RunConfig:
-    values: dict = {}
-    lines: dict = {}  # line of each key's last assignment in the config file
-    if args.preset is not None:
-        if args.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
-            )
-        values.update(PRESETS[args.preset])
-    if args.config is not None:
-        file_values, lines = _parse_with_lines(Path(args.config).read_text(encoding="utf-8"))
-        values.update(file_values)
-    if not values:
-        raise ConfigError("provide --preset and/or --config")
-    for key in ("initial", "frame", "out", "sample_dt"):
-        override = getattr(args, key, None)
-        if override is not None:
-            values[key] = _parse_value(key, str(override))
-            lines.pop(key, None)  # a flag's value has no line
-    return _build_with_lines(values, lines)
-
-
-def _resolve_duration(config: RunConfig) -> float:
-    if config.duration is not None:
-        return config.duration
-    return calibrate_pi_duration(config.system, config.pulse(duration=0.0))
-
-
-def _resolve_eigensystem(config: RunConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """`_resolve_duration` and the eigensystem of the config's B, from one eigh."""
+def _resolve(config: RunConfig) -> tuple[Generator, float]:
+    """The config's generator and duration, from one eigh: 'auto' is timed on the same point."""
     # the duration does not enter B
-    lam, v = build_generator(config.system, config.pulse(duration=0.0)).eigensystem()
-    if config.duration is None:
-        return _pi_duration(lam, v, config.a2), lam, v
-    return config.duration, lam, v
+    gen = build_generator(config.system, config.pulse(duration=0.0))
+    return gen, gen.pi_duration() if config.duration is None else config.duration
 
 
 def _require(config: RunConfig, field: str):
@@ -120,10 +75,8 @@ def cmd_simulate(config: RunConfig) -> int:
         raise ConfigError("missing required key 'initial' for this command")
     sample_dt = _require(config, "sample_dt")
     out = _require(config, "out")
-    duration = _resolve_duration(config)
-    series = run_timeseries(
-        config.system, config.pulse(duration), initial, sample_dt, frame=config.frame
-    )
+    gen, duration = _resolve(config)
+    series = gen.timeseries(initial, duration, sample_dt, config.frame)
     write_timeseries_csv(series, out)
     print(f"simulate: {len(series)} rows ({config.frame} frame, duration {duration!r}) -> {out}")
     return 0
@@ -139,8 +92,8 @@ def _gate_report_lines(gate: np.ndarray) -> list[str]:
 
 def cmd_tomography(config: RunConfig) -> int:
     out = _require(config, "out")
-    duration = _resolve_duration(config)
-    gate = tomography(config.system, config.pulse(duration), frame=config.frame)
+    gen, duration = _resolve(config)
+    gate = gen.gate(duration, config.frame)
     fid_cn = gate_fidelity(gate, cn_matrix())
     fid_icn = gate_fidelity(gate, 1j * cn_matrix())
 
@@ -175,16 +128,14 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     report_comments: list[str] = []
     tuned = config
     status = 0
+    gen, duration = _resolve(config)
 
     if args.pi_duration:
-        duration, lam, v = _resolve_eigensystem(config)
         tuned = replace(tuned, duration=duration)
         report_comments.append(f"# pi_duration = {duration!r}")
-        transfer = pi_transfer(lam, v, duration)
+        transfer = gen.transfer(duration)
         report_comments.append(f"# transfer_at_pi_duration = {transfer!r}")
         print(f"calibrate: pi-pulse duration = {duration!r} (transfer {transfer:.9f})")
-    else:
-        duration = _resolve_duration(config)
 
     if args.pure_cn:
         free = tuple(name.strip() for name in args.free.split(",") if name.strip())
@@ -246,8 +197,8 @@ def cmd_sweep(config: RunConfig, args) -> int:
             point = replace(config, system=replace(config.system, omega1=value))
         else:
             point = replace(config, **{args.param: value})
-        duration, lam, v = _resolve_eigensystem(point)
-        objective = _objective(lam, v, duration)
+        gen, duration = _resolve(point)
+        objective = gen.objective(duration)
         lines.append(f"{index},{_num(value)},{_num(objective)}")
     Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"sweep: {args.steps} points over {args.param} -> {out}")
@@ -309,7 +260,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args)
+        flags = {key: getattr(args, key, None) for key in ("initial", "frame", "out", "sample_dt")}
+        config = load_config(args.preset, args.config, flags)
         if args.command == "simulate":
             return cmd_simulate(config)
         if args.command == "tomography":

@@ -22,6 +22,7 @@ be fed back in as a config.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "parse_config",
+    "load_config",
     "build_run_config",
     "emit_config",
     "initial_state",
@@ -183,6 +185,30 @@ def build_run_config(values: Mapping) -> RunConfig:
 def parse_config(text: str) -> RunConfig:
     """Parse one config document into a validated RunConfig."""
     return _build_with_lines(*_parse_with_lines(text))
+
+
+def load_config(preset: str | None, path: str | None, flags: Mapping[str, object]) -> RunConfig:
+    """A named preset, then a config file over it, then flag values over both.
+
+    A flag value of None means the flag was not given.  A flag value is
+    parsed like a config value but names no line in its errors.
+    """
+    values: dict = {}
+    lines: dict = {}  # line of each key's last assignment in the config file
+    if preset is not None:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
+        values.update(PRESETS[preset])
+    if path is not None:
+        file_values, lines = _parse_with_lines(Path(path).read_text(encoding="utf-8"))
+        values.update(file_values)
+    if not values:
+        raise ConfigError("provide --preset and/or --config")
+    for key, override in flags.items():
+        if override is not None:
+            values[key] = _parse_value(key, str(override))
+            lines.pop(key, None)
+    return _build_with_lines(values, lines)
 
 
 def _build_with_lines(values: Mapping, lines: Mapping[str, int]) -> RunConfig:

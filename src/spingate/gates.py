@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import GateMatrix, GcnPhases, GcnPatternError, SystemParams, PulseSpec, wrap_angle
-from .propagator import build_generator, frame_phase_factors
+from .propagator import build_generator
 
 __all__ = [
     "cn_matrix",
@@ -34,14 +34,8 @@ __all__ = [
 #: (row, column) indices of the nonzero entries of a phased controlled-NOT
 GCN_PATTERN = ((0, 0), (1, 1), (2, 3), (3, 2))
 
-#: max-norm unitarity tolerance for matrices produced by tomography
-TOMOGRAPHY_UNITARITY_TOL = 1e-8
-
 #: largest modulus off the phased-CN pattern (and deficit on it) a gate may have
 GCN_LEAK_TOL = 1e-2
-
-_EYE4 = np.eye(4)
-_EYE4.setflags(write=False)
 
 
 def cn_matrix() -> GateMatrix:
@@ -74,21 +68,7 @@ def tomography(params: SystemParams, pulse: PulseSpec, frame: str = "primed") ->
     phases applied to its rows.  The result is unitary by construction; the
     raw-frame U is still verified to 1e-8 in max norm.
     """
-    if frame not in ("raw", "primed"):
-        raise ValueError(f"frame must be 'raw' or 'primed', got {frame!r}")
-    gate = _unitary_gate(*build_generator(params, pulse).eigensystem(), pulse.duration)
-    if frame == "primed":
-        gate = frame_phase_factors(params, pulse.duration)[:, None] * gate
-    return gate
-
-
-def _unitary_gate(lam: np.ndarray, v: np.ndarray, tau: float) -> GateMatrix:
-    """Raw-frame gate U = (V e^{i Lambda tau/2}) V^T of an eigensystem of B, checked unitary."""
-    gate = (v * np.exp(0.5j * lam * tau)) @ v.T
-    defect = np.abs(gate.conj().T @ gate - _EYE4).max()
-    if defect > TOMOGRAPHY_UNITARITY_TOL:
-        raise RuntimeError(f"tomography produced a non-unitary matrix (defect {defect:.3e})")
-    return gate
+    return build_generator(params, pulse).gate(pulse.duration, frame)
 
 
 def extract_gcn_phases(gate: GateMatrix) -> GcnPhases:
@@ -104,7 +84,7 @@ def extract_gcn_phases(gate: GateMatrix) -> GcnPhases:
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (4, 4):
         raise ValueError(f"gate must be 4x4, got {gate.shape}")
-    defect = np.abs(gate.conj().T @ gate - _EYE4).max()
+    defect = np.abs(gate.conj().T @ gate - np.eye(4)).max()
     if defect > 1e-6:
         raise ValueError(f"gate is not unitary within 1e-6 (defect {defect:.3e})")
 

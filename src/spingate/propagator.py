@@ -9,24 +9,22 @@ system
 where B is a real symmetric 4x4 matrix: diagonal entries carry the residual
 level detunings, off-diagonal entries the drive amplitudes.  Because B is
 constant and symmetric the propagator is the exact matrix exponential
-exp(i B t / 2), evaluated here by eigendecomposition.  A classical RK4
-integrator of the same system is kept as an independent cross-check; it
-never touches the eigendecomposition path.
+exp(i B t / 2), evaluated here by eigendecomposition: a `Generator` is one
+parameter point, diagonalized once.  A classical RK4 integrator of the same
+system is kept as an independent cross-check; it reads only B, never the
+eigensystem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import QState, SystemParams, PulseSpec, TimeSeries, ResonanceError
+from .core import CalibrationError, PulseSpec, QState, ResonanceError, SystemParams, TimeSeries
 
 __all__ = [
     "Generator",
     "build_generator",
     "evolve_exact",
-    "pi_transfer",
     "evolve_rk4",
     "to_primed",
     "frame_phase_factors",
@@ -36,45 +34,31 @@ __all__ = [
 #: relative tolerance for the carrier == omega2 - J resonance condition
 RESONANCE_RTOL = 1e-12
 
+#: max-norm unitarity tolerance for gates read off the eigensystem
+TOMOGRAPHY_UNITARITY_TOL = 1e-8
 
-@dataclass(frozen=True)
+#: pi-timing search interval and final bracket width, in units of pi / a2
+_PI_BRACKET = (0.8, 1.2)
+_PI_REL_TOL = 1e-6
+
+# a Python float, so the durations it produces print as plain numbers
+_INV_PHI = float((np.sqrt(5.0) - 1.0) / 2.0)
+
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
+
+
 class Generator:
-    """Constant coefficient matrix B of the rotating-frame equations."""
+    """One parameter point: the coefficient matrix B, diagonalized once.
 
-    matrix_b: np.ndarray
-
-    def __post_init__(self):
-        b = np.array(self.matrix_b, dtype=float)
-        if b.shape != (4, 4):
-            raise ValueError(f"generator must be 4x4, got {b.shape}")
-        if not np.array_equal(b, b.T):
-            raise ValueError("generator must be exactly symmetric")
-        b.setflags(write=False)
-        object.__setattr__(self, "matrix_b", b)
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and orthonormal eigenvectors of B (columns of V).
-
-        The package's one spectral step: B does not depend on the duration,
-        so each parameter point is diagonalized once and every quantity
-        (states, gates, transfers) follows in closed form from (lam, V).
-        """
-        return _eigensystem(self.matrix_b)
-
-
-def _eigensystem(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`Generator.eigensystem` of a B already known to be symmetric."""
-    if not np.isfinite(b).all():
-        raise ValueError("generator contains non-finite entries")
-    # looked up per call, so a wrapper put on numpy.linalg sees every one
-    return np.linalg.eigh(b)
-
-
-def build_generator(params: SystemParams, pulse: PulseSpec) -> Generator:
-    """Assemble B for a resonant pulse.
-
-    The constant-coefficient form only holds at the carrier choice
-    omega = omega2 - J; any other carrier is rejected.
+    Built from plain numbers, so a search pays for no dataclass per point.
+    B is assembled, checked finite and handed to one `eigh`; the duration
+    does not enter B, so every quantity of the point (states, time series,
+    the gate, the pi-pulse transfer and its timing, the pure-CN objective)
+    follows in closed form from the eigenvalues `lam` and the orthonormal
+    eigenvectors `v` (columns).  `matrix_b`, `lam` and `v` are read-only.
+    Holding omega1, omega2 and coupling_j, a Generator also serves as the
+    `params` of `frame_phase_factors`.
 
     Structure (basis order 00, 01, 10, 11):
 
@@ -83,33 +67,145 @@ def build_generator(params: SystemParams, pulse: PulseSpec) -> Generator:
         B[10,10] = B[11,11] = 0                  B[01,11] = B[11,01] = a1
                                                  B[10,11] = B[11,10] = a2
     """
-    _check_resonance(params, pulse.carrier)
-    return Generator(
-        _generator_matrix(params.omega1, params.omega2, params.coupling_j, pulse.a1, pulse.a2)
-    )
+
+    __slots__ = ("omega1", "omega2", "coupling_j", "a1", "a2", "matrix_b", "lam", "v")
+
+    def __init__(self, omega1: float, omega2: float, coupling_j: float, a1: float, a2: float):
+        b = np.zeros((4, 4))
+        b[0, 0] = -2.0 * (omega2 - omega1 - 2.0 * coupling_j)
+        b[1, 1] = -2.0 * (omega2 - omega1)
+        b[0, 1] = b[1, 0] = a2
+        b[0, 2] = b[2, 0] = a1
+        b[1, 3] = b[3, 1] = a1
+        b[2, 3] = b[3, 2] = a2
+        if not np.isfinite(b).all():
+            raise ValueError("generator contains non-finite entries")
+        # looked up per call, so a wrapper put on numpy.linalg sees every one
+        lam, v = np.linalg.eigh(b)
+        # read-only; the positional form costs a quarter of setflags(write=False)
+        b.setflags(False)
+        lam.setflags(False)
+        v.setflags(False)
+        self.omega1, self.omega2, self.coupling_j = omega1, omega2, coupling_j
+        self.a1, self.a2 = a1, a2
+        self.matrix_b, self.lam, self.v = b, lam, v
+
+    def gate(self, tau: float, frame: str = "raw") -> np.ndarray:
+        """Gate U = (V e^{i Lambda tau/2}) V^T at duration tau, checked unitary to 1e-8.
+
+        Column j is the state at the pulse end for digital input j; the
+        primed frame applies its phases to the rows of the raw-frame U.
+        """
+        if frame not in ("raw", "primed"):
+            raise ValueError(f"frame must be 'raw' or 'primed', got {frame!r}")
+        gate = (self.v * np.exp(0.5j * self.lam * tau)) @ self.v.T
+        defect = np.abs(gate.conj().T @ gate - _EYE4).max()
+        if defect > TOMOGRAPHY_UNITARITY_TOL:
+            raise RuntimeError(f"tomography produced a non-unitary matrix (defect {defect:.3e})")
+        if frame == "primed":
+            gate = frame_phase_factors(self, tau)[:, None] * gate
+        return gate
+
+    def transfer(self, tau: float) -> float:
+        """Population |c10(tau)|^2 reached from |11>.
+
+        Closed form of `evolve_exact` for that one amplitude:
+        c10(tau) = sum_k V[2,k] V[3,k] exp(i lam_k tau / 2).
+        """
+        return float(abs(np.dot(self.v[2] * self.v[3], np.exp(0.5j * self.lam * tau))) ** 2)
+
+    def pi_duration(self) -> float:
+        """Duration maximizing `transfer`: the operational pi-pulse.
+
+        Golden-section search on [0.8, 1.2] * (pi / a2), refined until the
+        bracket is narrower than 1e-6 * (pi / a2); 32 transfer probes.
+
+        Raises
+        ------
+        CalibrationError
+            If the search converges onto a bracket endpoint, i.e. there is no
+            interior maximum; the endpoint transfer values are reported.
+        ValueError
+            If a2 is not positive (no resonant drive, no pi condition).
+        """
+        if self.a2 <= 0:
+            raise ValueError("pi-pulse calibration requires a2 > 0")
+        tau_nominal = np.pi / self.a2
+        lo, hi = _PI_BRACKET[0] * tau_nominal, _PI_BRACKET[1] * tau_nominal
+        tol = _PI_REL_TOL * tau_nominal
+
+        f = self.transfer
+        f_lo, f_hi = f(lo), f(hi)
+        a, b = lo, hi
+        c = b - _INV_PHI * (b - a)
+        d = a + _INV_PHI * (b - a)
+        f_c, f_d = f(c), f(d)
+        while (b - a) > tol:
+            if f_c > f_d:
+                b, d, f_d = d, c, f_c
+                c = b - _INV_PHI * (b - a)
+                f_c = f(c)
+            else:
+                a, c, f_c = c, d, f_d
+                d = a + _INV_PHI * (b - a)
+                f_d = f(d)
+        tau_star = 0.5 * (a + b)
+        f_star = f(tau_star)
+        at_edge = tau_star - lo < 2.0 * tol or hi - tau_star < 2.0 * tol
+        if at_edge or f_star <= max(f_lo, f_hi):
+            raise CalibrationError(
+                f"no interior transfer maximum in [{lo!r}, {hi!r}]: "
+                f"endpoint transfers are {f_lo!r} and {f_hi!r}, "
+                f"best interior value {f_star!r} at {tau_star!r}"
+            )
+        return float(tau_star)
+
+    def objective(self, tau: float) -> float:
+        """Raw-frame infidelity against i * CN at duration tau.
+
+        1 - |tr((i CN)^dag U)| / 4, with the trace written out: (i CN)^dag U
+        has -i times U[0,0], U[1,1], U[3,2], U[2,3] on its diagonal, and the
+        sum is grouped as np.trace sums four complex numbers, so the value has
+        the bits of `gate_fidelity`'s.
+        """
+        g = self.gate(tau)
+        return 1.0 - float(abs((g[0, 0] + g[1, 1]) + (g[3, 2] + g[2, 3])) / 4.0)
+
+    def timeseries(
+        self, initial: QState, duration: float, sample_dt: float, frame: str = "primed"
+    ) -> TimeSeries:
+        """`initial` propagated from t = 0 to t = 0, dt, 2dt, ... and the pulse end."""
+        if not 0.0 < sample_dt < np.inf:
+            raise ValueError(f"sample_dt must be positive and finite, got {sample_dt!r}")
+        if frame not in ("raw", "primed"):
+            raise ValueError(f"frame must be 'raw' or 'primed', got {frame!r}")
+        ts = _sample_grid(duration, sample_dt)
+        proj = self.v.T @ initial.amps
+        amps = (self.v @ (np.exp(0.5j * np.outer(self.lam, ts)) * proj[:, None])).T
+        if frame == "primed":
+            amps = amps * frame_phase_factors(self, ts[:, None])
+        norms = np.sum(np.abs(amps) ** 2, axis=1)
+        return TimeSeries(t=ts, amps=amps, norm=norms, frame=frame)
 
 
-def _check_resonance(params: SystemParams, carrier: float) -> None:
+def build_generator(params: SystemParams, pulse: PulseSpec) -> Generator:
+    """The `Generator` of a resonant pulse.
+
+    The constant-coefficient form only holds at the carrier choice
+    omega = omega2 - J; any other carrier is rejected.
+    """
+    check_resonance(params, pulse.carrier)
+    return Generator(params.omega1, params.omega2, params.coupling_j, pulse.a1, pulse.a2)
+
+
+def check_resonance(params: SystemParams, carrier: float) -> None:
+    """Raise `ResonanceError` unless the carrier is omega2 - J to `RESONANCE_RTOL`."""
     resonant = params.resonant_carrier
     if abs(carrier - resonant) > RESONANCE_RTOL * max(1.0, abs(resonant)):
         raise ResonanceError(
             f"carrier {carrier!r} is off resonance: the constant-coefficient "
             f"rotating-frame equations require omega = omega2 - J = {resonant!r}"
         )
-
-
-def _generator_matrix(
-    omega1: float, omega2: float, coupling_j: float, a1: float, a2: float
-) -> np.ndarray:
-    """B from plain numbers, the one assembly behind `build_generator` and the pure-CN search."""
-    b = np.zeros((4, 4))
-    b[0, 0] = -2.0 * (omega2 - omega1 - 2.0 * coupling_j)
-    b[1, 1] = -2.0 * (omega2 - omega1)
-    b[0, 1] = b[1, 0] = a2
-    b[0, 2] = b[2, 0] = a1
-    b[1, 3] = b[3, 1] = a1
-    b[2, 3] = b[3, 2] = a2
-    return b
 
 
 def evolve_exact(state: QState, gen: Generator, t: float) -> QState:
@@ -120,19 +216,8 @@ def evolve_exact(state: QState, gen: Generator, t: float) -> QState:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    lam, v = gen.eigensystem()
-    evolved = (v * np.exp(0.5j * lam * t)) @ (v.T @ state.amps)
+    evolved = (gen.v * np.exp(0.5j * gen.lam * t)) @ (gen.v.T @ state.amps)
     return QState(evolved)
-
-
-def pi_transfer(lam: np.ndarray, v: np.ndarray, t: float) -> float:
-    """Population |c10(t)|^2 reached from |11>, read off the eigensystem of B.
-
-    Closed form of `evolve_exact` for that one amplitude:
-    c10(t) = sum_k V[2,k] V[3,k] exp(i lam_k t / 2), so a duration scan
-    needs one eigendecomposition however many durations it tries.
-    """
-    return float(abs(np.dot(v[2] * v[3], np.exp(0.5j * lam * t))) ** 2)
 
 
 def evolve_rk4(state: QState, gen: Generator, t: float, dt: float) -> QState:
@@ -173,7 +258,8 @@ def frame_phase_factors(params: SystemParams, t: float | np.ndarray) -> np.ndarr
     Drive-free evolution in the rotating frame is pure phases: c00 and c01
     acquire exp[-i (omega2 - omega1 - 2J) t] and exp[-i (omega2 - omega1) t],
     c10 and c11 none.  The primed frame strips them.  A column of times
-    (shape (n, 1)) gives one row of factors per time.
+    (shape (n, 1)) gives one row of factors per time.  `params` may be any
+    object with omega1, omega2 and coupling_j, a `Generator` included.
     """
     rates = np.array(
         [
@@ -226,16 +312,4 @@ def run_timeseries(
     generator is diagonalized once).  The final row is at exactly the pulse
     duration even when that is not a multiple of `sample_dt`.
     """
-    if not 0.0 < sample_dt < np.inf:
-        raise ValueError(f"sample_dt must be positive and finite, got {sample_dt!r}")
-    if frame not in ("raw", "primed"):
-        raise ValueError(f"frame must be 'raw' or 'primed', got {frame!r}")
-    gen = build_generator(params, pulse)
-    lam, v = gen.eigensystem()
-    ts = _sample_grid(pulse.duration, sample_dt)
-    proj = v.T @ initial.amps
-    amps = (v @ (np.exp(0.5j * np.outer(lam, ts)) * proj[:, None])).T
-    if frame == "primed":
-        amps = amps * frame_phase_factors(params, ts[:, None])
-    norms = np.sum(np.abs(amps) ** 2, axis=1)
-    return TimeSeries(t=ts, amps=amps, norm=norms, frame=frame)
+    return build_generator(params, pulse).timeseries(initial, pulse.duration, sample_dt, frame)

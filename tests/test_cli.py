@@ -129,6 +129,13 @@ class TestSimulate:
         assert code == 1
         assert "omega2 - J" in capsys.readouterr().err
 
+    def test_auto_duration_diagonalizes_once(self, tmp_path, eigh_calls):
+        # pi timing and the time series read the same eigensystem
+        code = run_cli("simulate", "--preset", "params12", "--initial", "digital:11",
+                       "--sample-dt", "0.05", "--out", str(tmp_path / "run.csv"))
+        assert code == 0
+        assert len(eigh_calls) == 1
+
 
 class TestTomography:
     def test_benchmark_phases_and_fidelity(self, tmp_path):
@@ -164,6 +171,12 @@ class TestTomography:
         assert "not a conditional NOT" in capsys.readouterr().err
         values, _ = read_report(out)
         assert "gcn_pattern_violation" in values
+
+    def test_auto_duration_diagonalizes_once(self, tmp_path, eigh_calls):
+        # pi timing and the gate read the same eigensystem
+        code = run_cli("tomography", "--preset", "params12", "--out", str(tmp_path / "g.txt"))
+        assert code == 0
+        assert len(eigh_calls) == 1
 
 
 class TestCalibrate:

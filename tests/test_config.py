@@ -9,6 +9,7 @@ from spingate.config import (
     build_run_config,
     emit_config,
     initial_state,
+    load_config,
 )
 
 GOOD = """\
@@ -173,6 +174,32 @@ class TestPresets:
         config = parse_config(preset + "a2 = 0.11\nframe = raw\n")
         assert config.a2 == 0.11
         assert config.frame == "raw"
+
+
+class TestLoadConfig:
+    def test_flag_over_file_over_preset(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("a2 = 0.2\nframe = raw\nsample_dt = 0.5\n")
+        config = load_config("params12", str(path), {"frame": "primed", "sample_dt": None})
+        assert (config.a1, config.a2) == (0.5, 0.2)
+        assert config.frame == "primed" and config.sample_dt == 0.5
+
+    def test_unknown_preset(self):
+        message = r"^unknown preset 'nope'; available: params12, params24$"
+        with pytest.raises(ConfigError, match=message):
+            load_config("nope", None, {})
+
+    def test_no_source(self):
+        with pytest.raises(ConfigError, match=r"^provide --preset and/or --config$"):
+            load_config(None, None, {"frame": "raw"})
+
+    def test_file_error_names_line_and_flag_error_none(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# pulse\nsample_dt = -1\n")
+        with pytest.raises(ConfigError, match=r"^line 2: sample_dt must be positive"):
+            load_config("params12", str(path), {})
+        with pytest.raises(ConfigError, match=r"^sample_dt must be positive"):
+            load_config("params12", None, {"sample_dt": -1.0})
 
 
 class TestRoundTrip:

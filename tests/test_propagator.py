@@ -22,7 +22,6 @@ from spingate import (
     tomography,
 )
 from spingate.config import EQ21_AMPS
-from spingate.propagator import pi_transfer
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +56,6 @@ class TestBuildGenerator:
         pulse = PulseSpec(carrier=95.1, a1=0.5, a2=0.1, duration=1.0)
         with pytest.raises(ResonanceError, match="omega2 - J"):
             build_generator(params12, pulse)
-
-    def test_asymmetric_matrix_rejected(self):
-        b = np.zeros((4, 4))
-        b[0, 1] = 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            Generator(b)
 
 
 class TestEvolveExact:
@@ -99,9 +92,9 @@ class TestEvolveExact:
             evolve_exact(digital_state("00"), gen12, -1.0)
 
     def test_nonfinite_generator_rejected(self):
-        b = np.diag([np.nan, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            evolve_exact(digital_state("00"), Generator(b), 1.0)
+        # B[00,00] = -2 (100 - 1e308 - 10) overflows to inf
+        with pytest.raises(ValueError, match="generator contains non-finite entries"):
+            Generator(1e308, 100.0, 5.0, 0.5, 0.1)
 
     @given(t=st.floats(min_value=0.0, max_value=100.0))
     @settings(max_examples=40, deadline=None)
@@ -156,14 +149,14 @@ class TestSpectralKernel:
         raw = scipy.linalg.expm(0.5j * b * tau)
         rates = np.array([omega2 - omega1 - 2.0 * j, omega2 - omega1, 0.0, 0.0])
         primed = np.exp(1j * rates * tau)[:, None] * raw
-        lam, v = build_generator(params, pulse).eigensystem()
+        gen = build_generator(params, pulse)
         # the phases reach max|lam| tau / 2 ~ 2e4 rad, so an ulp of lam or of
         # the phase argument moves an entry by ~eps max|lam| tau / 2 ~ 4e-12;
         # against a 40-digit mpmath expm the eigh path measured up to 2.0e-11
         # (about 5 such units) and scipy's expm up to 4.4e-12 at these ranges
-        tol = 16.0 * np.finfo(float).eps * np.max(np.abs(lam)) * tau / 2.0
+        tol = 16.0 * np.finfo(float).eps * np.max(np.abs(gen.lam)) * tau / 2.0
         errors = {
-            "transfer": abs(pi_transfer(lam, v, tau) - abs(raw[2, 3]) ** 2),
+            "transfer": abs(gen.transfer(tau) - abs(raw[2, 3]) ** 2),
             "raw gate": float(np.max(np.abs(tomography(params, pulse, frame="raw") - raw))),
             "primed gate": float(
                 np.max(np.abs(tomography(params, pulse, frame="primed") - primed))
@@ -172,10 +165,9 @@ class TestSpectralKernel:
         assert max(errors.values()) <= tol, f"errors vs expm {errors} exceed {tol:.3e}"
 
     def test_transfer_matches_evolve_exact(self, gen12, tau12):
-        lam, v = gen12.eigensystem()
         for t in (0.0, 7.3, tau12, 45.0):
             final = evolve_exact(digital_state("11"), gen12, t)
-            assert pi_transfer(lam, v, t) == pytest.approx(abs(final.c10) ** 2, abs=1e-14)
+            assert gen12.transfer(t) == pytest.approx(abs(final.c10) ** 2, abs=1e-14)
 
     @pytest.mark.parametrize("frame", ["raw", "primed"])
     def test_tomography_diagonalizes_once(self, params12, pulse12, frame, eigh_calls):
