@@ -17,6 +17,8 @@ eigensystem.
 
 from __future__ import annotations
 
+from math import cos, sin
+
 import numpy as np
 
 from .core import CalibrationError, PulseSpec, QState, ResonanceError, SystemParams, TimeSeries
@@ -110,9 +112,11 @@ class Generator:
         """Population |c10(tau)|^2 reached from |11>.
 
         Closed form of `evolve_exact` for that one amplitude:
-        c10(tau) = sum_k V[2,k] V[3,k] exp(i lam_k tau / 2).
+        c10(tau) = sum_k V[2,k] V[3,k] exp(i lam_k tau / 2), summed left to
+        right in Python floats.  numpy's dot of the same terms accumulates
+        with fused multiply-adds, so the two can differ by a few ulp.
         """
-        return float(abs(np.dot(self.v[2] * self.v[3], np.exp(0.5j * self.lam * tau))) ** 2)
+        return _transfer_probe(self.lam, self.v)(tau)
 
     def pi_duration(self) -> float:
         """Duration maximizing `transfer`: the operational pi-pulse.
@@ -134,7 +138,7 @@ class Generator:
         lo, hi = _PI_BRACKET[0] * tau_nominal, _PI_BRACKET[1] * tau_nominal
         tol = _PI_REL_TOL * tau_nominal
 
-        f = self.transfer
+        f = _transfer_probe(self.lam, self.v)
         f_lo, f_hi = f(lo), f(hi)
         a, b = lo, hi
         c = b - _INV_PHI * (b - a)
@@ -186,6 +190,23 @@ class Generator:
             amps = amps * frame_phase_factors(self, ts[:, None])
         norms = np.sum(np.abs(amps) ** 2, axis=1)
         return TimeSeries(t=ts, amps=amps, norm=norms, frame=frame)
+
+
+def _transfer_probe(lam: np.ndarray, v: np.ndarray):
+    """`Generator.transfer` as a function of tau alone, over plain Python floats.
+
+    The weights V[2,k] V[3,k] and the half-eigenvalues are read out once, so
+    a probe makes no numpy call: pi timing probes 32 durations per point.
+    """
+    w0, w1, w2, w3 = (v[2] * v[3]).tolist()
+    h0, h1, h2, h3 = (0.5 * lam).tolist()
+
+    def probe(tau: float) -> float:
+        re = w0 * cos(h0 * tau) + w1 * cos(h1 * tau) + w2 * cos(h2 * tau) + w3 * cos(h3 * tau)
+        im = w0 * sin(h0 * tau) + w1 * sin(h1 * tau) + w2 * sin(h2 * tau) + w3 * sin(h3 * tau)
+        return abs(complex(re, im)) ** 2
+
+    return probe
 
 
 def build_generator(params: SystemParams, pulse: PulseSpec) -> Generator:

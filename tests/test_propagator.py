@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,39 @@ def _pi_calibration_points(n=20, seed=20261017):
     return points
 
 
+def _numpy_transfer(gen, tau):
+    """The transfer as one numpy dot: the oracle for the scalar probe."""
+    return float(abs(np.dot(gen.v[2] * gen.v[3], np.exp(0.5j * gen.lam * tau))) ** 2)
+
+
+def _golden_section_max(f, lo, hi, tol):
+    """Midpoint of a golden-section bracket of f's maximum, narrowed below tol."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    f_c, f_d = f(c), f(d)
+    while b - a > tol:
+        if f_c > f_d:
+            b, d, f_d = d, c, f_c
+            c = b - inv_phi * (b - a)
+            f_c = f(c)
+        else:
+            a, c, f_c = c, d, f_d
+            d = a + inv_phi * (b - a)
+            f_d = f(d)
+    return 0.5 * (a + b)
+
+
+#: the pi_calibration benchmark ranges, with a2 / J widened from [0.012, 0.018]
+_POINTS = st.tuples(
+    st.floats(480.0, 520.0),  # omega1
+    st.floats(96.0, 104.0),  # omega2
+    st.floats(4.8, 5.2),  # J
+    st.floats(0.4, 0.6),  # a1
+    st.floats(0.002, 0.1),  # a2 / J
+)
+
+
 class TestSpectralKernel:
     """Closed forms read off one eigensystem, checked against scipy's expm."""
 
@@ -168,6 +202,60 @@ class TestSpectralKernel:
         for t in (0.0, 7.3, tau12, 45.0):
             final = evolve_exact(digital_state("11"), gen12, t)
             assert gen12.transfer(t) == pytest.approx(abs(final.c10) ** 2, abs=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=_POINTS, fraction=st.floats(0.0, 1.5))
+    def test_transfer_matches_numpy_dot(self, point, fraction):
+        # the scalar sum runs left to right, numpy's dot with fused
+        # multiply-adds; seeded runs put them at most 3 ulp apart
+        omega1, omega2, j, a1, ratio = point
+        gen = Generator(omega1, omega2, j, a1, ratio * j)
+        tau = fraction * np.pi / gen.a2
+        assert abs(gen.transfer(tau) - _numpy_transfer(gen, tau)) <= 1e-15
+
+    @settings(max_examples=50, deadline=None)
+    @given(point=_POINTS)
+    def test_pi_duration_matches_numpy_golden_section(self, point):
+        omega1, omega2, j, a1, ratio = point
+        gen = Generator(omega1, omega2, j, a1, ratio * j)
+        tau_nominal = np.pi / gen.a2
+        tol = 1e-6 * tau_nominal
+        oracle = _golden_section_max(
+            lambda tau: _numpy_transfer(gen, tau), 0.8 * tau_nominal, 1.2 * tau_nominal, tol
+        )
+        assert abs(gen.pi_duration() - oracle) <= tol
+
+    @pytest.mark.parametrize(
+        "point, tau",
+        [
+            ((500.0, 100.0, 5.0, 0.5, 0.1), 31.41592653589793),
+            ((500.06, 100.0, 5.0, 0.10016 * 500.06 / 100.0, 0.10016), 31.36581613646792),
+            ((500.0, 100.0, 5.0, 0.5, 0.08), 39.269172766857494),
+            ((500.0, 100.0, 5.0, 0.5, 0.04), 78.53981633974482),
+            ((500.0, 100.0, 5.0, 0.5, 0.025), 125.66370614359172),
+        ],
+        ids=["params12", "params24", "a2=0.08", "a2=0.04", "a2=0.025"],
+    )
+    def test_pi_duration_bits(self, point, tau):
+        # the durations of the numpy-probe search, which the goldens print
+        assert Generator(*point).pi_duration() == tau
+
+    def test_pi_duration_probes_without_numpy(self, gen12, monkeypatch):
+        calls = {"exp": 0, "dot": 0}
+
+        def counting(name):
+            original = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np, name, counting(name))
+        gen12.pi_duration()
+        assert calls == {"exp": 0, "dot": 0}
 
     @pytest.mark.parametrize("frame", ["raw", "primed"])
     def test_tomography_diagonalizes_once(self, params12, pulse12, frame, eigh_calls):
