@@ -81,7 +81,8 @@ class SearchSpec:
         every candidate point instead of keeping the starting duration.
     max_evaluations
         Budget of objective evaluations (duration recalibrations not
-        counted).
+        counted).  A point the search revisits counts again, though its
+        value is looked up, not recomputed.
     objective_tol
         The search is flagged converged once the best objective is at or
         below this value.
@@ -147,7 +148,10 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     over the box, then from progressively tighter simplexes around the best
     point so far.  `max_evaluations` counts every evaluation, restarts and
     grid included.  Exhausting the budget is not an error; the result is
-    returned flagged as non-converged.
+    returned flagged as non-converged.  Each distinct point is diagonalized
+    once per search: the simplex often comes back to a point it has already
+    scored, and then the value kept for it is returned, still counted as an
+    evaluation, so the moves and counts are those of rescoring it.
     """
     center = {"omega1": params.omega1, "a2": pulse.a2, "duration": pulse.duration}
     for name in spec.free:
@@ -160,6 +164,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     omega2, coupling_j = params.omega2, params.coupling_j
     recalibrate = spec.recalibrate_duration and "duration" not in spec.free
     evaluations, best_val, best_point = 0, np.inf, None
+    scored = {}  # clamped free coordinates -> objective value, for this search only
 
     def build_point(omega1, a1, a2, duration) -> tuple[SystemParams, PulseSpec]:
         return (
@@ -172,9 +177,18 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         nonlocal evaluations, best_val, best_point
         if evaluations == spec.max_evaluations:
             raise _BudgetSpent
+        # the free coordinates, clamped to the box: a conditional costs less than min(max())
+        point = tuple([
+            c + (-w if zi < -1.0 else w if zi > 1.0 else zi * w)
+            for zi, c, w in zip(z, centers, windows)
+        ])
+        value = scored.get(point)
+        if value is not None:
+            # a revisit counts against the budget, but cannot be a new best
+            evaluations += 1
+            return value
         x = dict(center)
-        for name, zi, ci, wi in zip(spec.free, z, centers, windows):
-            x[name] = ci + min(max(zi, -1.0), 1.0) * wi
+        x.update(zip(spec.free, point))
         x["a1"] = x["a2"] * x["omega1"] / omega2 if spec.tie_a1 else pulse.a1
         if not (
             0.0 < x["omega1"] < np.inf
@@ -186,7 +200,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         gen = Generator(x["omega1"], omega2, coupling_j, x["a1"], x["a2"])
         if recalibrate:
             x["duration"] = gen.pi_duration()
-        value = gen.objective(x["duration"])
+        value = scored[point] = gen.objective(x["duration"])
         evaluations += 1
         if value < best_val:
             best_val, best_point = value, x

@@ -208,17 +208,20 @@ class TestTunePureCn:
             tune_pure_cn(params12, pulse, SearchSpec(free=("duration",)))
 
 
-#: search kind -> (start, SearchSpec fields, evaluations the search takes); the
-#: simplex follows the last bit of every objective value, so a change in any
-#: count means the arithmetic of an evaluation changed, not only its speed
+#: search kind -> (start, SearchSpec fields, evaluations the search takes, eigh
+#: calls it makes); the simplex follows the last bit of every objective value, so
+#: a change in any count means the arithmetic of an evaluation changed, not only
+#: its speed.  A search diagonalizes each distinct point once: a point the simplex
+#: revisits counts as an evaluation but is not scored again.
 SEARCHES = {
-    "tie_a1": ("params12", dict(free=("omega1", "a2", "duration"), tie_a1=True), 74),
-    "a2_only": ("params12", dict(free=("a2",)), 921),
-    "untied": ("params12", dict(free=("omega1", "a2", "duration")), 74),
-    "duration_only": ("params24", dict(free=("duration",), objective_tol=1e-5), 183),
+    "tie_a1": ("params12", dict(free=("omega1", "a2", "duration"), tie_a1=True), 74, 74),
+    "a2_only": ("params12", dict(free=("a2",)), 921, 654),
+    "untied": ("params12", dict(free=("omega1", "a2", "duration")), 74, 74),
+    "duration_only": ("params24", dict(free=("duration",), objective_tol=1e-5), 183, 140),
     "recalibrate": (
         "params12",
         dict(free=("omega1", "a2"), tie_a1=True, recalibrate_duration=True),
+        61,
         61,
     ),
 }
@@ -226,31 +229,55 @@ SEARCHES = {
 
 @pytest.fixture(params=list(SEARCHES))
 def search(request):
-    """(params, start pulse, spec, expected evaluations) of one search kind."""
-    start, fields, evaluations = SEARCHES[request.param]
+    """(params, start pulse, spec, expected evaluations, expected eigh calls) of one search kind."""
+    start, fields, evaluations, eighs = SEARCHES[request.param]
     if start == "params12":
         params, pulse = request.getfixturevalue("params12"), request.getfixturevalue("pulse12")
     else:
         params = request.getfixturevalue("params24")
         template = request.getfixturevalue("pulse24_template")
         pulse = replace(template, duration=calibrate_pi_duration(params, template))
-    return params, pulse, SearchSpec(**fields), evaluations
+    return params, pulse, SearchSpec(**fields), evaluations, eighs
 
 
 class TestLeanSearchEvaluation:
     def test_objective_equals_public_objective_exactly(self, search):
-        params, pulse, spec, _ = search
+        params, pulse, spec, _, _ = search
         result = tune_pure_cn(params, pulse, spec)
         assert result.objective == pure_cn_objective(result.params, result.pulse)
 
     def test_evaluation_count_unchanged(self, search):
-        params, pulse, spec, evaluations = search
+        params, pulse, spec, evaluations, _ = search
         assert tune_pure_cn(params, pulse, spec).evaluations == evaluations
 
     def test_one_eigh_per_evaluation(self, search, eigh_calls):
-        params, pulse, spec, _ = search
+        # one per distinct point, so at most one per evaluation
+        params, pulse, spec, _, eighs = search
         result = tune_pure_cn(params, pulse, spec)
-        assert len(eigh_calls) == result.evaluations
+        assert len(eigh_calls) == eighs
+        assert len(eigh_calls) <= result.evaluations
+
+    def test_no_point_is_diagonalized_twice(self, search, monkeypatch):
+        params, pulse, spec, _, eighs = search
+        points = []
+
+        class Recording(calibrate.Generator):
+            def objective(self, tau):
+                points.append((self.omega1, self.omega2, self.coupling_j, self.a1, self.a2, tau))
+                return super().objective(tau)
+
+        monkeypatch.setattr(calibrate, "Generator", Recording)
+        tune_pure_cn(params, pulse, spec)
+        assert len(points) == eighs
+        assert len(set(points)) == len(points)
+
+    def test_scored_points_are_kept_per_search(self, params12, pulse12, eigh_calls):
+        spec = SearchSpec(free=("a2",))
+        first = tune_pure_cn(params12, pulse12, spec)
+        assert len(eigh_calls) == 654
+        eigh_calls.clear()
+        assert tune_pure_cn(params12, pulse12, spec) == first
+        assert len(eigh_calls) == 654
 
     def test_point_outside_field_ranges_raises_constructor_error(self, params12, pulse12):
         # a window of 2 reaches a2 = 0.1 - 2 * 0.1 = -0.1
@@ -269,25 +296,27 @@ def a2_only_budgets(params12, pulse12, monkeypatch):
     """Budgets that end the params12 a2-only search inside each of its stages.
 
     The stages are found from the unlimited search: the evaluations made
-    before each Nelder-Mead run (counted as eigendecompositions) give where
-    the first run ends, the 65-point grid follows it, and the reseeds
-    start after the grid.
+    before each Nelder-Mead run (its calls of the objective, plus the
+    65-point grid once the first run is over) give where the first run
+    ends, the grid follows it, and the reseeds start after the grid.
+    Evaluations are counted, not eigendecompositions, since a revisited
+    point costs an evaluation but no `eigh`.
     """
     evaluations, starts = [0], []
-    eigh, nelder_mead = np.linalg.eigh, calibrate._nelder_mead
-
-    def counted(b):
-        evaluations[0] += 1
-        return eigh(b)
+    nelder_mead = calibrate._nelder_mead
 
     def recorded(f, simplex, done):
-        starts.append(evaluations[0])
-        return nelder_mead(f, simplex, done)
+        def counted(z):
+            evaluations[0] += 1
+            return f(z)
+
+        starts.append(evaluations[0] + (65 if starts else 0))
+        return nelder_mead(counted, simplex, done)
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigh", counted)
         patch.setattr(calibrate, "_nelder_mead", recorded)
         tune_pure_cn(params12, pulse12, SearchSpec(free=("a2",)))
+    assert starts[:3] == [0, 169, 270]
     first_run_end, reseed, next_reseed = starts[1] - 65, starts[1], starts[2]
     budgets = {
         "initial_simplex_1": 1,

@@ -215,6 +215,18 @@ class TestCalibrate:
         assert values["converged"] == "false"
         assert float(values["objective"]) > 1e-3
 
+    def test_amplitude_only_search_diagonalizes_each_point_once(self, tmp_path, eigh_calls):
+        out = tmp_path / "a2only.cfg"
+        code = run_cli(
+            "calibrate", "--preset", "params12", "--pure-cn",
+            "--free", "a2", "--out", str(out),
+        )
+        assert code == 1
+        values, _ = read_report(out)
+        assert values["evaluations"] == "921"
+        # 654 distinct points, and one more for the pi timing of the 'auto' duration
+        assert len(eigh_calls) == 655
+
     def test_recalibrated_duration_search(self, tmp_path):
         out = tmp_path / "recal.cfg"
         code = run_cli(
