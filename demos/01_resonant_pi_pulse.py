@@ -15,42 +15,30 @@ from pathlib import Path
 
 import numpy as np
 
-from spingate import (
-    PulseSpec,
-    SystemParams,
-    build_generator,
-    calibrate_pi_duration,
-    digital_state,
-    evolve_exact,
-    run_timeseries,
-    to_primed,
-)
+from spingate import BASIS_INDEX, Generator, digital_state
 from spingate.cli import write_timeseries_csv
 
 OUT_DIR = Path("demo_output")
 OUT_DIR.mkdir(exist_ok=True)
 
-system = SystemParams(omega1=500.0, omega2=100.0, coupling_j=5.0)
-template = PulseSpec(carrier=system.resonant_carrier, a1=0.5, a2=0.1, duration=0.0)
+# one parameter point: omega1, omega2, J, a1, a2, diagonalized once
+gen = Generator(500.0, 100.0, 5.0, 0.5, 0.1)
+print("system: omega1=500, omega2=100, J=5  ->  conditional line at", gen.omega2 - gen.coupling_j)
 
-print("system: omega1=500, omega2=100, J=5  ->  conditional line at", system.resonant_carrier)
-
-tau = calibrate_pi_duration(system, template)
-pulse = PulseSpec(carrier=system.resonant_carrier, a1=0.5, a2=0.1, duration=tau)
+tau = gen.pi_duration()
 print(f"calibrated pi-pulse duration: {tau:.9f}  (nominal pi/a2 = {np.pi / 0.1:.9f})")
 
-gen = build_generator(system, pulse)
-for label, partner in (("11", "c10"), ("10", "c11")):
-    final = to_primed(evolve_exact(digital_state(label), gen, tau), tau, system)
-    amp = getattr(final, partner)
-    print(f"|{label}>  ->  {partner}'(tau) = {amp:.6f}   (expected ~ i)")
+# the gate is the propagator: column j is the state at tau for input j
+gate = gen.gate(tau, "primed")
+for label, partner in (("11", "10"), ("10", "11")):
+    amp = gate[BASIS_INDEX[partner], BASIS_INDEX[label]]
+    print(f"|{label}>  ->  c{partner}'(tau) = {amp:.6f}   (expected ~ i)")
 
 for label in ("00", "01"):
-    final = to_primed(evolve_exact(digital_state(label), gen, tau), tau, system)
-    moved = np.abs(final.amps - digital_state(label).amps).max()
+    moved = np.abs(gate @ digital_state(label).amps - digital_state(label).amps).max()
     print(f"|{label}>  ->  off-resonant, max amplitude change {moved:.2e} (percent-level wobble)")
 
-series = run_timeseries(system, pulse, digital_state("11"), sample_dt=tau / 1000, frame="primed")
+series = gen.timeseries(digital_state("11"), tau, sample_dt=tau / 1000, frame="primed")
 csv_path = OUT_DIR / "pi_pulse_from_11.csv"
 write_timeseries_csv(series, str(csv_path))
 re_c11 = series.amps[:, 3].real

@@ -13,24 +13,11 @@ Run from the repository root:  python3 demos/03_gate_tomography.py
 
 import numpy as np
 
-from spingate import (
-    GcnPhases,
-    PulseSpec,
-    SystemParams,
-    calibrate_pi_duration,
-    cn_matrix,
-    extract_gcn_phases,
-    gate_fidelity,
-    gcn_matrix,
-    tomography,
-)
+from spingate import GcnPhases, Generator, cn_matrix, extract_gcn_phases, gate_fidelity, gcn_matrix
 
-system = SystemParams(omega1=500.0, omega2=100.0, coupling_j=5.0)
-template = PulseSpec(carrier=system.resonant_carrier, a1=0.5, a2=0.1, duration=0.0)
-tau = calibrate_pi_duration(system, template)
-pulse = PulseSpec(carrier=system.resonant_carrier, a1=0.5, a2=0.1, duration=tau)
-
-gate = tomography(system, pulse, frame="primed")
+# one parameter point (omega1=500, omega2=100, J=5, a1=0.5, a2=0.1), diagonalized once
+gen = Generator(500.0, 100.0, 5.0, 0.5, 0.1)
+gate = gen.gate(gen.pi_duration(), "primed")
 print("primed-frame gate (moduli):")
 with np.printoptions(precision=4, suppress=True):
     print(np.abs(gate))

@@ -18,22 +18,22 @@ from spingate import (
     PulseSpec,
     SearchSpec,
     SystemParams,
-    calibrate_pi_duration,
+    build_generator,
     cn_matrix,
     gate_fidelity,
-    pure_cn_objective,
-    tomography,
     tune_pure_cn,
 )
 from spingate.config import PARAMS24_DURATION, PRESETS, build_run_config
 
+# each parameter point below is one Generator, diagonalized once
 system = SystemParams(omega1=500.0, omega2=100.0, coupling_j=5.0)
 template = PulseSpec(carrier=system.resonant_carrier, a1=0.5, a2=0.1, duration=0.0)
-tau = calibrate_pi_duration(system, template)
+gen = build_generator(system, template)
+tau = gen.pi_duration()
 pulse = PulseSpec(carrier=system.resonant_carrier, a1=0.5, a2=0.1, duration=tau)
 
 print(f"starting point: omega1=500, a2=0.1, duration={tau:.6f}")
-print(f"raw-frame objective (1 - fidelity vs i*CN): {pure_cn_objective(system, pulse):.4f}")
+print(f"raw-frame objective (1 - fidelity vs i*CN): {gen.objective(tau):.4f}")
 
 print("\n[1] amplitude-only search (a2 free, duration fixed)")
 amp_only = tune_pure_cn(system, pulse, SearchSpec(free=("a2",)))
@@ -55,7 +55,7 @@ print(f"    omega1: 500 -> {full.params.omega1:.7f}")
 print(f"    a2:     0.1 -> {full.pulse.a2:.8f}")
 print(f"    tau:    {tau:.6f} -> {full.pulse.duration:.6f}")
 
-gate = tomography(full.params, full.pulse, frame="raw")
+gate = build_generator(full.params, full.pulse).gate(full.pulse.duration, "raw")
 print("    raw-frame gate at the tuned point (entries ~ i on the CN pattern):")
 with np.printoptions(precision=3, suppress=True):
     print(np.round(gate, 3))
@@ -63,16 +63,14 @@ print(f"    fidelity vs i*CN: {gate_fidelity(gate, 1j * cn_matrix()):.7f}")
 
 print("\n[3] the shipped tuned preset (params24) and its duration sensitivity")
 preset = build_run_config(PRESETS["params24"])
-p24 = preset.system
-pl24 = preset.pulse()
-print(f"    omega1={p24.omega1}, a2={preset.a2}, a1=a2*omega1/omega2={preset.a1:.9f}")
+gen24 = build_generator(preset.system, preset.pulse())
+print(f"    omega1={preset.system.omega1}, a2={preset.a2}, a1=a2*omega1/omega2={preset.a1:.9f}")
 print(f"    stored duration: {PARAMS24_DURATION:.9f}")
-print(f"    objective at stored duration:   {pure_cn_objective(p24, pl24):.2e}")
-transfer_tau = calibrate_pi_duration(p24, pl24)
-off = preset.pulse(transfer_tau)
+print(f"    objective at stored duration:   {gen24.objective(PARAMS24_DURATION):.2e}")
+transfer_tau = gen24.pi_duration()
 print(
     f"    objective at transfer-max duration {transfer_tau:.6f}: "
-    f"{pure_cn_objective(p24, off):.4f}"
+    f"{gen24.objective(transfer_tau):.4f}"
 )
 print(
     "    moving the duration by ~0.05 barely changes the population transfer\n"

@@ -26,11 +26,9 @@ from .core import (
 from .propagator import (
     Generator,
     build_generator,
-    evolve_exact,
     evolve_rk4,
     frame_phase_factors,
     run_timeseries,
-    to_primed,
 )
 from .gates import (
     GCN_PATTERN,
@@ -86,7 +84,6 @@ __all__ = [
     "cn_matrix",
     "digital_state",
     "emit_config",
-    "evolve_exact",
     "evolve_rk4",
     "extract_gcn_phases",
     "frame_phase_factors",
@@ -97,7 +94,6 @@ __all__ = [
     "pure_cn_objective",
     "run_timeseries",
     "superposition_state",
-    "to_primed",
     "tomography",
     "tune_pure_cn",
     "wrap_angle",

@@ -120,7 +120,7 @@ class SearchSpec:
             )
 
     def window_for(self, name: str) -> float:
-        """Relative search window of coordinate `name` (`rel_window` for every one)."""
+        """`rel_window` for any name; kept only until `bench/workloads.py` reads it directly."""
         return float(self.rel_window)
 
 
@@ -159,7 +159,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
             raise ValueError(f"cannot search {name!r} from a starting value of 0")
     # carrier, omega2 and J are the same at every point of the search
     check_resonance(params, pulse.carrier)
-    windows = [spec.window_for(n) * abs(center[n]) for n in spec.free]
+    windows = [float(spec.rel_window) * abs(center[n]) for n in spec.free]
     centers = [center[n] for n in spec.free]
     omega2, coupling_j = params.omega2, params.coupling_j
     recalibrate = spec.recalibrate_duration and "duration" not in spec.free

@@ -267,7 +267,7 @@ class TimeSeries:
                 raise ValueError("times must be strictly increasing")
         recomputed = np.sum(np.abs(self.amps) ** 2, axis=1)
         worst = float(np.max(np.abs(recomputed - self.norm))) if self.t.size else 0.0
-        if worst > 1e-12:
+        if not worst <= 1e-12:
             raise ValueError(f"norm column inconsistent with amplitudes by {worst:.3e}")
 
     def __len__(self) -> int:

@@ -85,7 +85,7 @@ def extract_gcn_phases(gate: GateMatrix) -> GcnPhases:
     if gate.shape != (4, 4):
         raise ValueError(f"gate must be 4x4, got {gate.shape}")
     defect = np.abs(gate.conj().T @ gate - np.eye(4)).max()
-    if defect > 1e-6:
+    if not defect <= 1e-6:
         raise ValueError(f"gate is not unitary within 1e-6 (defect {defect:.3e})")
 
     moduli = np.abs(gate)

@@ -10,9 +10,9 @@ where B is a real symmetric 4x4 matrix: diagonal entries carry the residual
 level detunings, off-diagonal entries the drive amplitudes.  Because B is
 constant and symmetric the propagator is the exact matrix exponential
 exp(i B t / 2), evaluated here by eigendecomposition: a `Generator` is one
-parameter point, diagonalized once.  A classical RK4 integrator of the same
-system is kept as an independent cross-check; it reads only B, never the
-eigensystem.
+parameter point, diagonalized once, whose `gate(t, frame)` is that
+propagator.  A classical RK4 integrator of the same system is kept as an
+independent cross-check; it reads only B, never the eigensystem.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from .core import CalibrationError, PulseSpec, QState, ResonanceError, SystemPar
 __all__ = [
     "Generator",
     "build_generator",
-    "evolve_exact",
     "evolve_rk4",
-    "to_primed",
     "frame_phase_factors",
     "run_timeseries",
 ]
@@ -93,11 +91,12 @@ class Generator:
         self.matrix_b, self.lam, self.v = b, lam, v
 
     def gate(self, tau: float, frame: str = "raw") -> np.ndarray:
-        """Gate U = (V e^{i Lambda tau/2}) V^T at duration tau, checked unitary to 1e-8.
+        """Gate U = exp(i B tau/2) = (V e^{i Lambda tau/2}) V^T, checked unitary to 1e-8.
 
-        Column j is the state at the pulse end for digital input j; the
-        primed frame applies its phases to the rows of the raw-frame U.
+        The state at time t is `gate(t, frame) @ amps`, so column j is the
+        pulse-end state of digital input j; "primed" rephases U's rows.
         """
+        _check_duration(tau)
         if frame not in ("raw", "primed"):
             raise ValueError(f"frame must be 'raw' or 'primed', got {frame!r}")
         gate = (self.v * np.exp(0.5j * self.lam * tau)) @ self.v.T
@@ -111,7 +110,7 @@ class Generator:
     def transfer(self, tau: float) -> float:
         """Population |c10(tau)|^2 reached from |11>.
 
-        Closed form of `evolve_exact` for that one amplitude:
+        Closed form of `gate(tau)[2, 3]`, the one amplitude it needs:
         c10(tau) = sum_k V[2,k] V[3,k] exp(i lam_k tau / 2), summed left to
         right in Python floats.  numpy's dot of the same terms accumulates
         with fused multiply-adds, so the two can differ by a few ulp.
@@ -179,6 +178,7 @@ class Generator:
         self, initial: QState, duration: float, sample_dt: float, frame: str = "primed"
     ) -> TimeSeries:
         """`initial` propagated from t = 0 to t = 0, dt, 2dt, ... and the pulse end."""
+        _check_duration(duration)
         if not 0.0 < sample_dt < np.inf:
             raise ValueError(f"sample_dt must be positive and finite, got {sample_dt!r}")
         if frame not in ("raw", "primed"):
@@ -190,6 +190,11 @@ class Generator:
             amps = amps * frame_phase_factors(self, ts[:, None])
         norms = np.sum(np.abs(amps) ** 2, axis=1)
         return TimeSeries(t=ts, amps=amps, norm=norms, frame=frame)
+
+
+def _check_duration(tau: float) -> None:
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"duration must be finite and >= 0, got {tau!r}")
 
 
 def _transfer_probe(lam: np.ndarray, v: np.ndarray):
@@ -229,22 +234,10 @@ def check_resonance(params: SystemParams, carrier: float) -> None:
         )
 
 
-def evolve_exact(state: QState, gen: Generator, t: float) -> QState:
-    """Propagate by the exact exponential c(t) = exp(i B t / 2) c(0).
-
-    Exact up to floating point: B is diagonalized once and the eigenphases
-    are applied directly, so norm is conserved to ~1e-15 for any t >= 0.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    evolved = (gen.v * np.exp(0.5j * gen.lam * t)) @ (gen.v.T @ state.amps)
-    return QState(evolved)
-
-
 def evolve_rk4(state: QState, gen: Generator, t: float, dt: float) -> QState:
     """Classical 4th-order Runge-Kutta solution of dc/dt = (i/2) B c.
 
-    Independent cross-check for `evolve_exact`; global error is O(dt^4).
+    Independent cross-check for `Generator.gate`; global error is O(dt^4).
     Accuracy requires dt * rho(B)/2 well below 1, with rho the spectral
     radius; for strongly detuned systems this means a much finer step than
     the pulse timescale suggests.
@@ -291,17 +284,6 @@ def frame_phase_factors(params: SystemParams, t: float | np.ndarray) -> np.ndarr
         ]
     )
     return np.exp(+1j * rates * t)
-
-
-def to_primed(state: QState, t: float, params: SystemParams) -> QState:
-    """Strip the free-evolution phases accumulated up to time t.
-
-    Moduli are untouched, so a state in the primed frame differs from the
-    raw one only in the phases of c00, c01.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return QState(state.amps * frame_phase_factors(params, t))
 
 
 def _sample_grid(duration: float, sample_dt: float) -> np.ndarray:

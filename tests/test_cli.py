@@ -349,6 +349,26 @@ class TestSweep:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bounds, bad",
+        # linspace(0, inf, 3) is [nan, inf, inf]
+        [(("-1", "1"), "-1.0"), (("0", "inf"), "nan")],
+        ids=["negative", "infinite"],
+    )
+    def test_impossible_duration_fails_cleanly(self, tmp_path, capsys, bounds, bad):
+        # a swept duration skips the config's checks; the gate rejects it
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--preset", "params24", "--param", "duration",
+            "--min", bounds[0], "--max", bounds[1], "--steps", "3", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: duration must be finite and >= 0, got {bad}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_auto_duration_sweep_diagonalizes_once_per_point(self, tmp_path, eigh_calls):
         code = run_cli(
             "sweep", "--preset", "params12", "--param", "a1", "--min", "0.45",

@@ -144,6 +144,13 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="norm column"):
             TimeSeries(t=t, amps=amps, norm=np.array([1.0, 0.5]), frame="raw")
 
+    def test_nan_rows_rejected(self):
+        # nan amplitudes with a nan norm column: the mismatch itself is nan
+        t = np.array([0.0, 1.0])
+        amps = np.full((2, 4), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="norm column inconsistent with amplitudes by nan"):
+            TimeSeries(t=t, amps=amps, norm=np.full(2, np.nan), frame="raw")
+
     def test_strictly_increasing_required(self):
         t = np.array([0.0, 1.0, 1.0])
         amps = np.tile([1, 0, 0, 0], (3, 1)).astype(complex)

@@ -1,4 +1,4 @@
-"""Each demo script runs to completion as a fresh process.
+"""The demos and the README quick start run, each on one `eigh` per parameter point.
 
 The demos import the public names the README documents, so this guards
 them against renames and removals.  Demos write their CSV output relative
@@ -6,6 +6,8 @@ to the working directory, which is a temporary directory here.
 """
 
 import os
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+#: eigh calls per demo: one per parameter point; demo 04 adds its two
+#: searches, 654 (a2 only) and 74 (omega1, a2, duration) eigh
+EIGH_PER_DEMO = {
+    "01_resonant_pi_pulse": 1,
+    "02_superposition_transfer": 1,
+    "03_gate_tomography": 1,
+    "04_pure_cn_search": 3 + 654 + 74,
+}
 
 
 def test_all_four_demos_found():
@@ -34,3 +45,20 @@ def test_demo_runs_cleanly(demo, tmp_path):
     output = proc.stdout + proc.stderr
     assert proc.returncode == 0, output
     assert "Traceback" not in output, output
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_diagonalizes_once_per_point(demo, tmp_path, monkeypatch, eigh_calls):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(demo), run_name="__main__")
+    assert len(eigh_calls) == EIGH_PER_DEMO[demo.stem]
+
+
+def test_readme_quick_start_runs(capsys, eigh_calls):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
+    assert len(eigh_calls) == 1
+    c10 = complex(capsys.readouterr().out.splitlines()[0])
+    assert abs(c10 - 1j) < 1e-2

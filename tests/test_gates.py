@@ -119,6 +119,11 @@ class TestExtractGcnPhases:
         with pytest.raises(ValueError, match="unitary"):
             extract_gcn_phases(0.5 * cn_matrix())
 
+    def test_nan_gate_rejected(self):
+        # a nan defect compares false against any tolerance
+        with pytest.raises(ValueError, match=r"not unitary within 1e-6 \(defect nan\)"):
+            extract_gcn_phases(np.full((4, 4), np.nan))
+
 
 class TestGateFidelity:
     def test_self_fidelity_is_one(self):
@@ -190,12 +195,12 @@ class TestTomography:
 
     def test_columns_are_basis_images(self, params12, pulse12):
         # column j must be the final state of digital basis state j
-        from spingate import build_generator, digital_state, evolve_exact
+        from spingate import build_generator, digital_state
 
         gate = tomography(params12, pulse12, frame="raw")
         gen = build_generator(params12, pulse12)
-        col2 = evolve_exact(digital_state("10"), gen, pulse12.duration)
-        assert np.max(np.abs(gate[:, 2] - col2.amps)) < 1e-15
+        col2 = gen.gate(pulse12.duration) @ digital_state("10").amps
+        assert np.max(np.abs(gate[:, 2] - col2)) < 1e-15
 
     def test_bad_frame_rejected(self, params12, pulse12):
         with pytest.raises(ValueError):

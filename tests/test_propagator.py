@@ -14,12 +14,10 @@ from spingate import (
     SystemParams,
     build_generator,
     digital_state,
-    evolve_exact,
     evolve_rk4,
     frame_phase_factors,
     run_timeseries,
     superposition_state,
-    to_primed,
     tomography,
 )
 from spingate.config import EQ21_AMPS
@@ -60,37 +58,45 @@ class TestBuildGenerator:
 
 
 class TestEvolveExact:
+    """The exact exponential: `gen.gate(t) @ amps` is the state at time t."""
+
     def test_t0_is_identity(self, gen12):
         state = superposition_state(EQ21_AMPS)
-        out = evolve_exact(state, gen12, 0.0)
-        assert np.allclose(out.amps, state.amps, atol=1e-15)
+        out = gen12.gate(0.0) @ state.amps
+        assert np.allclose(out, state.amps, atol=1e-15)
 
     def test_decoupled_pi_pulse_analytic(self, params12):
         # with a1 = 0 the {10,11} block closes: c10(t) = i sin(a2 t / 2) c11(0)
         pulse = PulseSpec(carrier=95.0, a1=0.0, a2=0.1, duration=0.0)
         gen = build_generator(params12, pulse)
-        out = evolve_exact(digital_state("11"), gen, np.pi / 0.1)
-        assert np.max(np.abs(out.amps - np.array([0, 0, 1j, 0]))) < 1e-10
+        out = gen.gate(np.pi / 0.1) @ digital_state("11").amps
+        assert np.max(np.abs(out - np.array([0, 0, 1j, 0]))) < 1e-10
 
     def test_decoupled_partial_rotation_analytic(self, params12):
         pulse = PulseSpec(carrier=95.0, a1=0.0, a2=0.1, duration=0.0)
         gen = build_generator(params12, pulse)
         for t in (3.0, 11.7, 25.0):
-            out = evolve_exact(digital_state("11"), gen, t)
-            assert abs(out.c10 - 1j * np.sin(0.05 * t)) < 1e-10
-            assert abs(out.c11 - np.cos(0.05 * t)) < 1e-10
+            _, _, c10, c11 = gen.gate(t) @ digital_state("11").amps
+            assert abs(c10 - 1j * np.sin(0.05 * t)) < 1e-10
+            assert abs(c11 - np.cos(0.05 * t)) < 1e-10
 
     def test_matches_scipy_expm(self, gen12):
         # independent library cross-check of the eigendecomposition path
         state = superposition_state(EQ21_AMPS)
         for t in (0.37, 5.0, 31.4):
             expected = scipy.linalg.expm(0.5j * gen12.matrix_b * t) @ state.amps
-            out = evolve_exact(state, gen12, t)
-            assert np.max(np.abs(out.amps - expected)) < 1e-11
+            out = gen12.gate(t) @ state.amps
+            assert np.max(np.abs(out - expected)) < 1e-11
 
     def test_negative_time_rejected(self, gen12):
-        with pytest.raises(ValueError):
-            evolve_exact(digital_state("00"), gen12, -1.0)
+        with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+            gen12.gate(-1.0)
+
+    @pytest.mark.parametrize("t", [-1e-300, np.inf, np.nan])
+    @pytest.mark.parametrize("frame", ["raw", "primed"])
+    def test_nonfinite_or_negative_duration_rejected(self, gen12, t, frame):
+        with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+            gen12.gate(t, frame)
 
     def test_nonfinite_generator_rejected(self):
         # B[00,00] = -2 (100 - 1e308 - 10) overflows to inf
@@ -100,8 +106,8 @@ class TestEvolveExact:
     @given(t=st.floats(min_value=0.0, max_value=100.0))
     @settings(max_examples=40, deadline=None)
     def test_unitarity(self, gen12, t):
-        out = evolve_exact(superposition_state(EQ21_AMPS), gen12, t)
-        assert abs(out.norm_squared() - 1.0) < 1e-12
+        out = gen12.gate(t) @ superposition_state(EQ21_AMPS).amps
+        assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
 
     @given(
         t1=st.floats(min_value=0.0, max_value=40.0),
@@ -109,10 +115,9 @@ class TestEvolveExact:
     )
     @settings(max_examples=40, deadline=None)
     def test_group_property(self, gen12, t1, t2):
-        state = superposition_state(EQ21_AMPS)
-        two_step = evolve_exact(evolve_exact(state, gen12, t1), gen12, t2)
-        one_step = evolve_exact(state, gen12, t1 + t2)
-        assert np.max(np.abs(two_step.amps - one_step.amps)) < 1e-10
+        two_step = gen12.gate(t2) @ gen12.gate(t1)
+        one_step = gen12.gate(t1 + t2)
+        assert np.max(np.abs(two_step - one_step)) < 1e-10
 
 
 def _pi_calibration_points(n=20, seed=20261017):
@@ -198,10 +203,10 @@ class TestSpectralKernel:
         }
         assert max(errors.values()) <= tol, f"errors vs expm {errors} exceed {tol:.3e}"
 
-    def test_transfer_matches_evolve_exact(self, gen12, tau12):
+    def test_transfer_matches_gate(self, gen12, tau12):
         for t in (0.0, 7.3, tau12, 45.0):
-            final = evolve_exact(digital_state("11"), gen12, t)
-            assert gen12.transfer(t) == pytest.approx(abs(final.c10) ** 2, abs=1e-14)
+            final = gen12.gate(t) @ digital_state("11").amps
+            assert gen12.transfer(t) == pytest.approx(abs(final[2]) ** 2, abs=1e-14)
 
     @settings(max_examples=200, deadline=None)
     @given(point=_POINTS, fraction=st.floats(0.0, 1.5))
@@ -279,17 +284,17 @@ class TestEvolveRk4:
 
     def test_agrees_with_exact_at_fine_step(self, gen12, tau12):
         state = superposition_state(EQ21_AMPS)
-        exact = evolve_exact(state, gen12, tau12)
+        exact = gen12.gate(tau12) @ state.amps
         approx = evolve_rk4(state, gen12, tau12, tau12 / 1e7)
-        assert np.max(np.abs(approx.amps - exact.amps)) < 1e-8
+        assert np.max(np.abs(approx.amps - exact)) < 1e-8
 
     def test_fourth_order_convergence(self, gen12, tau12):
         # halving the step cuts the error by ~2^4; measured in the regime
         # where the per-step phase rho(B)/2 * dt is small
         state = superposition_state(EQ21_AMPS)
-        exact = evolve_exact(state, gen12, tau12)
+        exact = gen12.gate(tau12) @ state.amps
         err = lambda n: np.max(
-            np.abs(evolve_rk4(state, gen12, tau12, tau12 / n).amps - exact.amps)
+            np.abs(evolve_rk4(state, gen12, tau12, tau12 / n).amps - exact)
         )
         ratio = err(2 * 10**6) / err(4 * 10**6)
         assert 13.0 < ratio < 19.0
@@ -316,47 +321,47 @@ class TestFrameTransforms:
     def test_free_evolution_phases(self, params12):
         state = superposition_state(EQ21_AMPS)
         t = 0.731
-        out = to_primed(state, t, params12)
-        assert abs(out.c00 - state.c00 * np.exp(+1j * (100 - 500 - 10) * t)) < 1e-15
-        assert abs(out.c01 - state.c01 * np.exp(+1j * (100 - 500) * t)) < 1e-15
-        assert out.c10 == state.c10 and out.c11 == state.c11
+        c00, c01, c10, c11 = frame_phase_factors(params12, t) * state.amps
+        assert abs(c00 - state.c00 * np.exp(+1j * (100 - 500 - 10) * t)) < 1e-15
+        assert abs(c01 - state.c01 * np.exp(+1j * (100 - 500) * t)) < 1e-15
+        assert c10 == state.c10 and c11 == state.c11
 
     def test_10_is_stationary(self, params12):
-        out = to_primed(digital_state("10"), 17.3, params12)
-        assert np.array_equal(out.amps, digital_state("10").amps)
+        out = frame_phase_factors(params12, 17.3) * digital_state("10").amps
+        assert np.array_equal(out, digital_state("10").amps)
 
     @given(t=st.floats(min_value=0.0, max_value=60.0))
     @settings(max_examples=40, deadline=None)
     def test_primed_inverts_free_evolution(self, params12, gen0, t):
         # without drive the primed frame is frozen at the initial state
         state = superposition_state(EQ21_AMPS)
-        back = to_primed(evolve_exact(state, gen0, t), t, params12)
-        assert np.max(np.abs(back.amps - state.amps)) < 1e-12
+        back = gen0.gate(t, "primed") @ state.amps
+        assert np.max(np.abs(back - state.amps)) < 1e-12
 
     @given(t=st.floats(min_value=0.0, max_value=60.0))
     @settings(max_examples=40, deadline=None)
     def test_phase_only_moduli_preserved(self, params12, t):
         state = superposition_state(EQ21_AMPS)
-        out = to_primed(state, t, params12)
-        assert np.max(np.abs(np.abs(out.amps) - np.abs(state.amps))) < 1e-15
+        out = frame_phase_factors(params12, t) * state.amps
+        assert np.max(np.abs(np.abs(out) - np.abs(state.amps))) < 1e-15
 
     def test_matches_exact_with_zero_drive(self, params12, gen0):
         # the raw zero-drive evolution is the inverse frame transform
         state = superposition_state(EQ21_AMPS)
         for t in (0.1, 3.7, 31.4):
-            via_gen = evolve_exact(state, gen0, t)
+            via_gen = gen0.gate(t) @ state.amps
             via_phases = state.amps / frame_phase_factors(params12, t)
-            assert np.max(np.abs(via_gen.amps - via_phases)) < 1e-12
+            assert np.max(np.abs(via_gen - via_phases)) < 1e-12
 
     def test_t0_identity(self, params12):
         state = superposition_state(EQ21_AMPS)
-        assert np.array_equal(to_primed(state, 0.0, params12).amps, state.amps)
+        assert np.array_equal(frame_phase_factors(params12, 0.0) * state.amps, state.amps)
 
     def test_frame_phase_factors_diagonal(self, params12):
         t = 2.5
         factors = frame_phase_factors(params12, t)
         state = superposition_state(EQ21_AMPS)
-        assert np.max(np.abs(to_primed(state, t, params12).amps - factors * state.amps)) < 1e-15
+        assert np.max(np.abs(np.diag(factors) @ state.amps - factors * state.amps)) < 1e-15
 
     def test_frame_phase_factors_broadcast_over_times(self, params12):
         ts = np.array([0.0, 0.731, 2.5, 31.4])
@@ -365,28 +370,28 @@ class TestFrameTransforms:
         for t, row in zip(ts, rows):
             assert np.array_equal(row, frame_phase_factors(params12, t))
 
-    def test_negative_time_rejected(self, params12):
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            to_primed(digital_state("00"), -1.0, params12)
+    def test_negative_time_rejected(self, gen12):
+        with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+            gen12.timeseries(digital_state("00"), -1.0, 0.1)
 
 
 class TestResonantSwapEndpoints:
     def test_pi_pulse_sends_11_to_i_10(self, params12, pulse12, tau12):
         gen = build_generator(params12, pulse12)
-        final = to_primed(evolve_exact(digital_state("11"), gen, tau12), tau12, params12)
-        assert abs(final.c10 - 1j) < 1e-2
+        final = gen.gate(tau12, "primed") @ digital_state("11").amps
+        assert abs(final[2] - 1j) < 1e-2
 
     def test_pi_pulse_sends_10_to_i_11(self, params12, pulse12, tau12):
         gen = build_generator(params12, pulse12)
-        final = to_primed(evolve_exact(digital_state("10"), gen, tau12), tau12, params12)
-        assert abs(final.c11 - 1j) < 1e-2
+        final = gen.gate(tau12, "primed") @ digital_state("10").amps
+        assert abs(final[3] - 1j) < 1e-2
 
     def test_superposition_swap(self, params12, pulse12, tau12):
         gen = build_generator(params12, pulse12)
         initial = superposition_state(EQ21_AMPS)
-        final = to_primed(evolve_exact(initial, gen, tau12), tau12, params12)
-        assert abs(final.c11 - 1j * initial.c10) < 1e-2
-        assert abs(final.c10 - 1j * initial.c11) < 1e-2
+        _, _, c10, c11 = gen.gate(tau12, "primed") @ initial.amps
+        assert abs(c11 - 1j * initial.c10) < 1e-2
+        assert abs(c10 - 1j * initial.c11) < 1e-2
 
 
 class TestNonresonantBehavior:
@@ -490,3 +495,8 @@ class TestRunTimeseries:
     def test_bad_frame(self, params12, pulse12):
         with pytest.raises(ValueError):
             run_timeseries(params12, pulse12, digital_state("11"), sample_dt=1.0, frame="lab")
+
+    @pytest.mark.parametrize("duration", [np.inf, np.nan])
+    def test_nonfinite_duration_rejected(self, gen12, duration):
+        with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+            gen12.timeseries(digital_state("11"), duration, 1.0)

@@ -22,10 +22,10 @@ def test_public_surface_is_pinned():
         "PARAMS24_DURATION", "PRESETS", "PulseSpec", "QState", "ResonanceError",
         "RunConfig", "SearchSpec", "SystemParams", "TimeSeries", "TuneResult",
         "build_generator", "calibrate_pi_duration", "cn_matrix", "digital_state",
-        "emit_config", "evolve_exact", "evolve_rk4", "extract_gcn_phases",
+        "emit_config", "evolve_rk4", "extract_gcn_phases",
         "frame_phase_factors", "gate_fidelity", "gcn_matrix", "initial_state",
         "parse_config", "pure_cn_objective", "run_timeseries", "superposition_state",
-        "to_primed", "tomography", "tune_pure_cn", "wrap_angle",
+        "tomography", "tune_pure_cn", "wrap_angle",
     ]
     empty = inspect.Parameter.empty
     assert _parameters(calibrate_pi_duration) == [("params", empty), ("pulse_template", empty)]
@@ -50,8 +50,7 @@ def test_module_surfaces_are_pinned():
         "build_run_config", "emit_config", "initial_state", "load_config", "parse_config",
     ]
     assert sorted(spingate.propagator.__all__) == [
-        "Generator", "build_generator", "evolve_exact", "evolve_rk4", "frame_phase_factors",
-        "run_timeseries", "to_primed",
+        "Generator", "build_generator", "evolve_rk4", "frame_phase_factors", "run_timeseries",
     ]
 
 
