@@ -44,15 +44,13 @@ def _num(x: float) -> str:
 
 
 def write_timeseries_csv(series: TimeSeries, path: str) -> None:
-    lines = [CSV_HEADER]
-    for t, amps, norm in zip(series.t, series.amps, series.norm):
-        fields = [_num(t)]
-        for c in amps:
-            fields.append(_num(c.real))
-            fields.append(_num(c.imag))
-        fields.append(_num(norm))
-        lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the series as `CSV_HEADER` rows, formatted one row at a time."""
+    # raw-frame amps are a transposed view; the copy lays each row's re, im pairs out in order
+    table = np.column_stack((series.t, np.ascontiguousarray(series.amps).view(float), series.norm))
+    row = ",".join(["%.16e"] * len(CSV_HEADER.split(","))) + "\n"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(CSV_HEADER + "\n")
+        f.writelines(row % tuple(values) for values in table)
 
 
 def _resolve(config: RunConfig) -> tuple[Generator, float]:
@@ -186,6 +184,9 @@ def cmd_sweep(config: RunConfig, args) -> int:
             f"sweep parameter must be one of {', '.join(_SWEEPABLE)} "
             f"(omega2 and coupling_j would move the resonance itself)"
         )
+    for flag, value in (("--min", args.min), ("--max", args.max)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
     if args.steps < 2 or not args.min < args.max:
         raise ConfigError("sweep needs --min < --max and --steps >= 2")
     out = _require(config, "out")

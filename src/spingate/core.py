@@ -232,43 +232,32 @@ class TimeSeries:
     """Sampled amplitude trajectory: times, amplitudes, squared norms.
 
     `frame` records whether the rows are rotating-frame amplitudes ('raw')
-    or have the residual free-evolution phases stripped ('primed').
+    or have the residual free-evolution phases stripped ('primed').  `norm`
+    is derived: each row's sum of |c|^2, computed here from `amps`.
     """
 
     t: np.ndarray
     amps: np.ndarray
-    norm: np.ndarray
     frame: str
+    norm: np.ndarray = field(init=False)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         amps = np.asarray(self.amps, dtype=complex)
-        norm = np.asarray(self.norm, dtype=float)
         if self.frame not in ("raw", "primed"):
             raise ValueError(f"frame must be 'raw' or 'primed', got {self.frame!r}")
-        if t.ndim != 1 or amps.shape != (t.size, 4) or norm.shape != (t.size,):
+        if t.ndim != 1 or amps.shape != (t.size, 4):
             raise ValueError("inconsistent row shapes")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "norm", norm)
-        self.validate()
-
-    def validate(self) -> None:
-        """Check row ordering and that the norm column matches the amplitudes to 1e-12."""
-        dt = np.diff(self.t)
-        if np.any(dt <= 0):
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(amps))):
+            raise ValueError("times and amplitudes must be finite")
+        if np.any(np.diff(t) <= 0):
             # a zero-length pulse is sampled as two identical rows at t = 0
-            degenerate = (
-                self.t.size == 2
-                and self.t[0] == self.t[1]
-                and np.array_equal(self.amps[0], self.amps[1])
-            )
+            degenerate = t.size == 2 and t[0] == t[1] and np.array_equal(amps[0], amps[1])
             if not degenerate:
                 raise ValueError("times must be strictly increasing")
-        recomputed = np.sum(np.abs(self.amps) ** 2, axis=1)
-        worst = float(np.max(np.abs(recomputed - self.norm))) if self.t.size else 0.0
-        if not worst <= 1e-12:
-            raise ValueError(f"norm column inconsistent with amplitudes by {worst:.3e}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "norm", np.sum(np.abs(amps) ** 2, axis=1))
 
     def __len__(self) -> int:
         return int(self.t.size)

@@ -188,8 +188,7 @@ class Generator:
         amps = (self.v @ (np.exp(0.5j * np.outer(self.lam, ts)) * proj[:, None])).T
         if frame == "primed":
             amps = amps * frame_phase_factors(self, ts[:, None])
-        norms = np.sum(np.abs(amps) ** 2, axis=1)
-        return TimeSeries(t=ts, amps=amps, norm=norms, frame=frame)
+        return TimeSeries(t=ts, amps=amps, frame=frame)
 
 
 def _check_duration(tau: float) -> None:

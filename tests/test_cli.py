@@ -3,8 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spingate import TimeSeries, calibrate_pi_duration
-from spingate.cli import CSV_HEADER, main
+from spingate import Generator, TimeSeries, calibrate_pi_duration, superposition_state
+from spingate.cli import CSV_HEADER, main, write_timeseries_csv
 from spingate.config import PARAMS24_DURATION, parse_config
 
 
@@ -18,7 +18,9 @@ def read_timeseries_csv(path: str, frame: str = "primed") -> TimeSeries:
     assert lines[0] == CSV_HEADER, f"unexpected CSV header {lines[0]!r}"
     data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     amps = data[:, 1:9:2] + 1j * data[:, 2:9:2]
-    return TimeSeries(t=data[:, 0], amps=amps, norm=data[:, 9], frame=frame)
+    # the norm column is the row's sum of |c|^2, as written
+    assert np.max(np.abs(data[:, 9] - np.sum(np.abs(amps) ** 2, axis=1))) <= 1e-12
+    return TimeSeries(t=data[:, 0], amps=amps, frame=frame)
 
 
 def read_report(path):
@@ -73,7 +75,6 @@ class TestSimulate:
             "--frame", "raw", "--sample-dt", "1.0", "--out", str(out),
         )
         series = read_timeseries_csv(str(out), frame="raw")
-        series.validate()
         assert series.t[-1] > series.t[0]
         assert np.max(np.abs(series.norm - 1.0)) < 1e-12
 
@@ -135,6 +136,35 @@ class TestSimulate:
                        "--sample-dt", "0.05", "--out", str(tmp_path / "run.csv"))
         assert code == 0
         assert len(eigh_calls) == 1
+
+
+class TestWriteTimeseriesCsv:
+    @staticmethod
+    def reference_text(series: TimeSeries) -> str:
+        # one f-string per field, 17 significant digits
+        lines = [CSV_HEADER]
+        for t, amps, norm in zip(series.t, series.amps, series.norm):
+            fields = [t] + [part for c in amps for part in (c.real, c.imag)] + [norm]
+            lines.append(",".join(f"{x:.16e}" for x in fields))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("frame", ["raw", "primed"])
+    @pytest.mark.parametrize("a2", [0.08, 0.025])
+    def test_bytes_match_per_field_reference(self, tmp_path, a2, frame):
+        gen = Generator(500.0, 100.0, 5.0, 0.5, a2)
+        initial = superposition_state([0.3, -0.5j, 0.6 + 0.2j, 0.4], normalize=True)
+        series = gen.timeseries(initial, gen.pi_duration(), 0.01, frame)
+        # raw-frame amplitudes are a transposed view, not row-contiguous
+        assert series.amps.flags.c_contiguous == (frame == "primed")
+        out = tmp_path / "series.csv"
+        write_timeseries_csv(series, str(out))
+        assert out.read_bytes() == self.reference_text(series).encode("utf-8")
+
+    def test_gz_suffix_is_written_as_plain_text(self, tmp_path):
+        series = TimeSeries(t=np.array([0.0]), amps=np.array([[1, 0, 0, 0]]), frame="raw")
+        out = tmp_path / "series.csv.gz"
+        write_timeseries_csv(series, str(out))
+        assert out.read_bytes() == self.reference_text(series).encode("utf-8")
 
 
 class TestTomography:
@@ -349,15 +379,16 @@ class TestSweep:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "bounds, bad",
-        # linspace(0, inf, 3) is [nan, inf, inf]
-        [(("-1", "1"), "-1.0"), (("0", "inf"), "nan")],
+        "bounds, message",
+        # a swept duration skips the config's checks: the gate rejects a negative one,
+        # and an infinite bound is rejected before the grid is built
+        [(("-1", "1"), "duration must be finite and >= 0, got -1.0"),
+         (("0", "inf"), "--max must be finite, got inf")],
         ids=["negative", "infinite"],
     )
-    def test_impossible_duration_fails_cleanly(self, tmp_path, capsys, bounds, bad):
-        # a swept duration skips the config's checks; the gate rejects it
+    def test_impossible_duration_fails_cleanly(self, tmp_path, capsys, bounds, message):
         out = tmp_path / "sweep.csv"
         code = run_cli(
             "sweep", "--preset", "params24", "--param", "duration",
@@ -365,8 +396,29 @@ class TestSweep:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert f"error: duration must be finite and >= 0, got {bad}\n" in err
+        assert f"error: {message}\n" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [(("0", "inf"), "--max must be finite, got inf"),
+         (("-inf", "1"), "--min must be finite, got -inf"),
+         (("nan", "1"), "--min must be finite, got nan")],
+        ids=["max-inf", "min-minus-inf", "min-nan"],
+    )
+    def test_nonfinite_bounds_fail_cleanly(self, tmp_path, capsys, bounds, message):
+        # np.linspace would warn and hand the checks a nan the user never typed
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--preset", "params12", "--param", "a1",
+            f"--min={bounds[0]}", f"--max={bounds[1]}", "--steps", "3", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_auto_duration_sweep_diagonalizes_once_per_point(self, tmp_path, eigh_calls):

@@ -138,29 +138,35 @@ class TestWrapAngle:
 
 
 class TestTimeSeries:
-    def test_norm_column_checked(self):
+    def test_norm_column_derived_from_amplitudes(self):
         t = np.array([0.0, 1.0])
-        amps = np.array([[1, 0, 0, 0], [1, 0, 0, 0]], dtype=complex)
-        with pytest.raises(ValueError, match="norm column"):
-            TimeSeries(t=t, amps=amps, norm=np.array([1.0, 0.5]), frame="raw")
+        amps = np.array([[1, 0, 0, 0], [0.6, 0.8j, 0, 0.5]], dtype=complex)
+        series = TimeSeries(t=t, amps=amps, frame="raw")
+        assert np.array_equal(series.norm, np.sum(np.abs(amps) ** 2, axis=1))
 
     def test_nan_rows_rejected(self):
-        # nan amplitudes with a nan norm column: the mismatch itself is nan
         t = np.array([0.0, 1.0])
         amps = np.full((2, 4), np.nan, dtype=complex)
-        with pytest.raises(ValueError, match="norm column inconsistent with amplitudes by nan"):
-            TimeSeries(t=t, amps=amps, norm=np.full(2, np.nan), frame="raw")
+        with pytest.raises(ValueError, match="times and amplitudes must be finite"):
+            TimeSeries(t=t, amps=amps, frame="raw")
+
+    def test_nan_times_rejected(self):
+        # a nan time passes the ordering check: nan <= 0 is False
+        t = np.array([0.0, np.nan])
+        amps = np.tile([1, 0, 0, 0], (2, 1)).astype(complex)
+        with pytest.raises(ValueError, match="times and amplitudes must be finite"):
+            TimeSeries(t=t, amps=amps, frame="raw")
 
     def test_strictly_increasing_required(self):
         t = np.array([0.0, 1.0, 1.0])
         amps = np.tile([1, 0, 0, 0], (3, 1)).astype(complex)
         with pytest.raises(ValueError, match="strictly increasing"):
-            TimeSeries(t=t, amps=amps, norm=np.ones(3), frame="raw")
+            TimeSeries(t=t, amps=amps, frame="raw")
 
     def test_degenerate_zero_duration_pair_allowed(self):
         t = np.zeros(2)
         amps = np.tile([1, 0, 0, 0], (2, 1)).astype(complex)
-        series = TimeSeries(t=t, amps=amps, norm=np.ones(2), frame="primed")
+        series = TimeSeries(t=t, amps=amps, frame="primed")
         assert len(series) == 2
 
     def test_bad_frame(self):
@@ -168,6 +174,5 @@ class TestTimeSeries:
             TimeSeries(
                 t=np.array([0.0]),
                 amps=np.array([[1, 0, 0, 0]], dtype=complex),
-                norm=np.ones(1),
                 frame="lab",
             )

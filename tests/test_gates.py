@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,13 +195,17 @@ class TestTomography:
         assert np.max(np.abs(primed - lifted)) < 1e-12
 
     def test_columns_are_basis_images(self, params12, pulse12):
-        # column j must be the final state of digital basis state j
-        from spingate import build_generator, digital_state
+        # column j must be the final state of digital basis state j, here propagated by
+        # scipy's expm rather than the eigensystem; the phases 0.5 * lam * tau reach about
+        # 1.3e4 rad, and the two paths agree to about 1.4e-11
+        from spingate import BASIS_LABELS, build_generator, digital_state
 
         gate = tomography(params12, pulse12, frame="raw")
-        gen = build_generator(params12, pulse12)
-        col2 = gen.gate(pulse12.duration) @ digital_state("10").amps
-        assert np.max(np.abs(gate[:, 2] - col2)) < 1e-15
+        b = build_generator(params12, pulse12).matrix_b
+        propagator = scipy.linalg.expm(0.5j * b * pulse12.duration)
+        for j, label in enumerate(BASIS_LABELS):
+            column = propagator @ digital_state(label).amps
+            assert np.max(np.abs(gate[:, j] - column)) < 1e-10
 
     def test_bad_frame_rejected(self, params12, pulse12):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import spingate
 import spingate.cli
 import spingate.config
 import spingate.propagator
-from spingate import Generator, SearchSpec, calibrate_pi_duration, extract_gcn_phases
+from spingate import Generator, SearchSpec, TimeSeries, calibrate_pi_duration, extract_gcn_phases
 
 
 def _parameters(obj) -> list[tuple[str, object]]:
@@ -33,6 +33,8 @@ def test_public_surface_is_pinned():
     assert _parameters(Generator) == [
         ("omega1", empty), ("omega2", empty), ("coupling_j", empty), ("a1", empty), ("a2", empty),
     ]
+    # norm is derived from amps, not passed in
+    assert _parameters(TimeSeries) == [("t", empty), ("amps", empty), ("frame", empty)]
     assert _parameters(SearchSpec) == [
         ("free", empty),
         ("rel_window", 0.005),
