@@ -148,7 +148,9 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     over the box, then from progressively tighter simplexes around the best
     point so far.  `max_evaluations` counts every evaluation, restarts and
     grid included.  Exhausting the budget is not an error; the result is
-    returned flagged as non-converged.  Each distinct point is diagonalized
+    returned flagged as non-converged.  A point outside the field ranges
+    (a window reaching a2 < 0, say) raises the `ValueError` of the
+    `Generator` or gate that scores it.  Each distinct point is diagonalized
     once per search: the simplex often comes back to a point it has already
     scored, and then the value kept for it is returned, still counted as an
     evaluation, so the moves and counts are those of rescoring it.
@@ -165,12 +167,6 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     recalibrate = spec.recalibrate_duration and "duration" not in spec.free
     evaluations, best_val, best_point = 0, np.inf, None
     scored = {}  # clamped free coordinates -> objective value, for this search only
-
-    def build_point(omega1, a1, a2, duration) -> tuple[SystemParams, PulseSpec]:
-        return (
-            SystemParams(omega1, omega2, coupling_j),
-            PulseSpec(carrier=pulse.carrier, a1=a1, a2=a2, duration=duration),
-        )
 
     def objective(z) -> float:
         # scored from plain numbers: no dataclass per point, one Generator, one gate
@@ -190,13 +186,6 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         x = dict(center)
         x.update(zip(spec.free, point))
         x["a1"] = x["a2"] * x["omega1"] / omega2 if spec.tie_a1 else pulse.a1
-        if not (
-            0.0 < x["omega1"] < np.inf
-            and 0.0 <= x["a1"] < np.inf
-            and 0.0 <= x["a2"] < np.inf
-            and 0.0 <= x["duration"] < np.inf
-        ):
-            build_point(**x)  # the constructors raise the error this point deserves
         gen = Generator(x["omega1"], omega2, coupling_j, x["a1"], x["a2"])
         if recalibrate:
             x["duration"] = gen.pi_duration()
@@ -237,10 +226,9 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     except _BudgetSpent:
         pass
 
-    best_params, best_pulse = build_point(**best_point)
     return TuneResult(
-        params=best_params,
-        pulse=best_pulse,
+        params=SystemParams(best_point["omega1"], omega2, coupling_j),
+        pulse=PulseSpec(pulse.carrier, best_point["a1"], best_point["a2"], best_point["duration"]),
         objective=best_val,
         converged=done(),
         evaluations=evaluations,

@@ -38,16 +38,15 @@ __all__ = [
 CSV_HEADER = "t,re_c00,im_c00,re_c01,im_c01,re_c10,im_c10,re_c11,im_c11,norm"
 
 
-def _num(x: float) -> str:
-    # 17 significant digits: full double round-trip
-    return f"{x:.16e}"
+#: 17 significant digits: full double round-trip
+_NUM = "%.16e"
 
 
 def write_timeseries_csv(series: TimeSeries, path: str) -> None:
     """Write the series as `CSV_HEADER` rows, formatted one row at a time."""
     # raw-frame amps are a transposed view; the copy lays each row's re, im pairs out in order
     table = np.column_stack((series.t, np.ascontiguousarray(series.amps).view(float), series.norm))
-    row = ",".join(["%.16e"] * len(CSV_HEADER.split(","))) + "\n"
+    row = ",".join([_NUM] * len(CSV_HEADER.split(","))) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(CSV_HEADER + "\n")
         f.writelines(row % tuple(values) for values in table)
@@ -84,7 +83,7 @@ def _gate_report_lines(gate: np.ndarray) -> list[str]:
     lines = ["row,col,re,im"]
     for i, row in enumerate(BASIS_LABELS):
         for j, col in enumerate(BASIS_LABELS):
-            lines.append(f"{row},{col},{_num(gate[i, j].real)},{_num(gate[i, j].imag)}")
+            lines.append(f"{row},{col},{_NUM % gate[i, j].real},{_NUM % gate[i, j].imag}")
     return lines
 
 
@@ -148,7 +147,7 @@ def cmd_calibrate(config: RunConfig, args) -> int:
         result = tune_pure_cn(config.system, config.pulse(duration), spec)
         tuned = replace(
             tuned,
-            system=result.params,
+            omega1=result.params.omega1,
             a1=result.pulse.a1,
             a2=result.pulse.a2,
             duration=result.pulse.duration,
@@ -193,14 +192,9 @@ def cmd_sweep(config: RunConfig, args) -> int:
     grid = np.linspace(args.min, args.max, args.steps)
     lines = [f"index,{args.param},objective"]
     for index, value in enumerate(grid):
-        value = float(value)
-        if args.param == "omega1":
-            point = replace(config, system=replace(config.system, omega1=value))
-        else:
-            point = replace(config, **{args.param: value})
-        gen, duration = _resolve(point)
+        gen, duration = _resolve(replace(config, **{args.param: value}))
         objective = gen.objective(duration)
-        lines.append(f"{index},{_num(value)},{_num(objective)}")
+        lines.append(f"{index},{_NUM % value},{_NUM % objective}")
     Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"sweep: {args.steps} points over {args.param} -> {out}")
     return 0

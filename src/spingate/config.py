@@ -21,13 +21,13 @@ be fed back in as a config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .core import QState, SystemParams, PulseSpec, digital_state, superposition_state
+from .core import PulseSpec, QState, SystemParams, check_param, digital_state, superposition_state
 
 __all__ = [
     "ConfigError",
@@ -41,11 +41,6 @@ __all__ = [
     "EQ21_AMPS",
     "PARAMS24_DURATION",
 ]
-
-_NUMERIC_KEYS = ("omega1", "omega2", "coupling_j", "a1", "a2", "sample_dt")
-_AUTO_KEYS = ("carrier", "duration")  # a number, or 'auto' (stored as None)
-_ALL_KEYS = _NUMERIC_KEYS + _AUTO_KEYS + ("initial", "frame", "out")
-_REQUIRED_KEYS = ("omega1", "omega2", "coupling_j", "a1", "a2")
 
 #: the benchmark superposition state (amplitudes sum of squares is exactly 1)
 EQ21_AMPS = (
@@ -64,34 +59,65 @@ PARAMS24_DURATION = 31.415126695028267
 class ConfigError(ValueError):
     """Configuration text that cannot be parsed or validated.
 
-    `line` is the 1-based source line when the error is tied to one.
+    `line` is the 1-based source line when the error is tied to one, and
+    `key` the config key whose value is at fault, when there is one.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, key: str | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.key = key
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated scenario description.
+    """Validated scenario description: one field per config key.
 
-    `duration=None` means 'calibrate a pi-pulse when the scenario runs';
-    `initial` keeps the original spelling ('digital:11', 'eq21', or the
-    amplitude list) so emitted configs reload to an equal RunConfig.
+    Construction converts the numbers to float and checks every key that is
+    set against the rules of `core.check_param`, raising `ConfigError` with
+    the key at fault.  `carrier=None` means 'auto' and resolves to
+    omega2 - J; `duration=None` means 'calibrate a pi-pulse when the
+    scenario runs'.  `initial` keeps the original spelling ('digital:11',
+    'eq21', or the amplitude list) so emitted configs reload to an equal
+    RunConfig; it is parsed once, here, and `initial_state` returns the state.
     """
 
-    system: SystemParams
-    carrier: float
+    omega1: float
+    omega2: float
+    coupling_j: float
+    carrier: float | None
     a1: float
     a2: float
-    duration: float | None
+    duration: float | None = None
     initial: str | None = None
     frame: str = "primed"
     sample_dt: float | None = None
     out: str | None = None
+    _state: QState | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for key in _ALL_KEYS:
+            value = getattr(self, key)
+            if key == "carrier" and value is None:
+                value = self.omega2 - self.coupling_j
+            if value is None or key == "out":
+                continue
+            try:
+                if key == "initial":
+                    object.__setattr__(self, "_state", _parse_initial(value))
+                    continue
+                if key in _NUMERIC_KEYS:
+                    value = float(value)
+                    object.__setattr__(self, key, value)
+                check_param(key, value)
+            except ValueError as exc:
+                raise ConfigError(str(exc), key=key) from None
+
+    @property
+    def system(self) -> SystemParams:
+        return SystemParams(self.omega1, self.omega2, self.coupling_j)
 
     def pulse(self, duration: float | None = None) -> PulseSpec:
         """Concrete pulse; `duration` overrides when the config says 'auto'."""
@@ -102,14 +128,63 @@ class RunConfig:
         return PulseSpec(carrier=self.carrier, a1=self.a1, a2=self.a2, duration=duration)
 
 
-def _parse_with_lines(text: str) -> tuple[dict, dict[str, int]]:
-    """Config text as a key -> typed value mapping, and each key's last line.
+_ALL_KEYS = tuple(f.name for f in fields(RunConfig) if f.init)
+_NUMERIC_KEYS = ("omega1", "omega2", "coupling_j", "carrier", "a1", "a2", "duration", "sample_dt")
+_AUTO_KEYS = ("carrier", "duration")  # a number, or 'auto' (stored as None)
+_REQUIRED_KEYS = ("omega1", "omega2", "coupling_j", "a1", "a2")
+
+
+def _parse_value(key: str, value: str):
+    """The typed value of one `key = value` assignment, from a config line or a flag."""
+    if key not in _ALL_KEYS:
+        raise ConfigError(f"unknown key {key!r}; valid keys are {', '.join(_ALL_KEYS)}")
+    if not value:
+        raise ConfigError(f"empty value for key {key!r}")
+    if key in _AUTO_KEYS and value == "auto":
+        return None
+    if key in _NUMERIC_KEYS:
+        try:
+            return float(value)
+        except ValueError:
+            kind = "a number or 'auto'" if key in _AUTO_KEYS else "a number"
+            raise ConfigError(f"cannot parse {value!r} for key {key!r} as {kind}") from None
+    return value
+
+
+def build_run_config(values: Mapping) -> RunConfig:
+    """Assemble and validate a RunConfig from a parsed mapping."""
+    missing = [key for key in _REQUIRED_KEYS if key not in values]
+    if missing:
+        raise ConfigError(f"missing required key(s): {', '.join(missing)}")
+    return RunConfig(**{"carrier": None, **values})
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse one config document into a validated RunConfig."""
+    return _load({}, text, {})
+
+
+def load_config(preset: str | None, path: str | None, flags: Mapping[str, object]) -> RunConfig:
+    """A named preset, then a config file over it, then flag values over both."""
+    if preset is None and path is None:
+        raise ConfigError("provide --preset and/or --config")
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
+    text = "" if path is None else Path(path).read_text(encoding="utf-8")
+    return _load(PRESETS.get(preset, {}), text, flags)
+
+
+def _load(base: Mapping, text: str, flags: Mapping[str, object]) -> RunConfig:
+    """`base` values, then the assignments of `text` over them, then flags over both.
 
     Unknown keys, malformed lines and unparseable values are rejected with
-    the offending line number.  Later assignments override earlier ones.
+    the offending line number, and a range error names the line that last
+    assigned the key at fault.  A flag value of None means the flag was not
+    given; a flag value is parsed like a config value but names no line in
+    its errors, and neither does a key whose value was 'auto'.
     """
-    values: dict = {}
-    lines: dict[str, int] = {}
+    values = dict(base)
+    lines: dict[str, int] = {}  # the line of each key's last assignment in the text
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -121,107 +196,18 @@ def _parse_with_lines(text: str) -> tuple[dict, dict[str, int]]:
         try:
             values[key] = _parse_value(key, value.strip())
         except ConfigError as exc:
-            raise ConfigError(str(exc), lineno) from None
+            raise ConfigError(str(exc), lineno, key) from None
         lines[key] = lineno
-    return values, lines
-
-
-def _parse_value(key: str, value: str):
-    """The typed value of one `key = value` assignment, from a config line or a flag."""
-    if key not in _ALL_KEYS:
-        raise ConfigError(f"unknown key {key!r}; valid keys are {', '.join(_ALL_KEYS)}")
-    if not value:
-        raise ConfigError(f"empty value for key {key!r}")
-    if key in _AUTO_KEYS and value == "auto":
-        return None
-    if key in _NUMERIC_KEYS + _AUTO_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            kind = "a number or 'auto'" if key in _AUTO_KEYS else "a number"
-            raise ConfigError(f"cannot parse {value!r} for key {key!r} as {kind}") from None
-    if key == "initial":
-        _parse_initial(value)  # validate eagerly, keep the spelling
-    return value
-
-
-def build_run_config(values: Mapping) -> RunConfig:
-    """Assemble and validate a RunConfig from a parsed mapping."""
-    missing = [key for key in _REQUIRED_KEYS if key not in values]
-    if missing:
-        raise ConfigError(f"missing required key(s): {', '.join(missing)}")
-    try:
-        system = SystemParams(values["omega1"], values["omega2"], values["coupling_j"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    carrier = values.get("carrier")
-    if carrier is None:
-        carrier = system.resonant_carrier
-    frame = values.get("frame", "primed")
-    if frame not in ("raw", "primed"):
-        raise ConfigError(f"frame must be 'raw' or 'primed', got {frame!r}")
-    sample_dt = values.get("sample_dt")
-    if sample_dt is not None and not 0.0 < sample_dt < np.inf:
-        raise ConfigError(f"sample_dt must be positive and finite, got {sample_dt!r}")
-    config = RunConfig(
-        system=system,
-        carrier=float(carrier),
-        a1=float(values["a1"]),
-        a2=float(values["a2"]),
-        duration=values.get("duration"),
-        initial=values.get("initial"),
-        frame=frame,
-        sample_dt=sample_dt,
-        out=values.get("out"),
-    )
-    # surface pulse-field validation errors (signs, finiteness) at parse time
-    try:
-        config.pulse(0.0 if config.duration is None else config.duration)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return config
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse one config document into a validated RunConfig."""
-    return _build_with_lines(*_parse_with_lines(text))
-
-
-def load_config(preset: str | None, path: str | None, flags: Mapping[str, object]) -> RunConfig:
-    """A named preset, then a config file over it, then flag values over both.
-
-    A flag value of None means the flag was not given.  A flag value is
-    parsed like a config value but names no line in its errors.
-    """
-    values: dict = {}
-    lines: dict = {}  # line of each key's last assignment in the config file
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
-        values.update(PRESETS[preset])
-    if path is not None:
-        file_values, lines = _parse_with_lines(Path(path).read_text(encoding="utf-8"))
-        values.update(file_values)
-    if not values:
-        raise ConfigError("provide --preset and/or --config")
     for key, override in flags.items():
         if override is not None:
             values[key] = _parse_value(key, str(override))
             lines.pop(key, None)
-    return _build_with_lines(values, lines)
-
-
-def _build_with_lines(values: Mapping, lines: Mapping[str, int]) -> RunConfig:
-    """`build_run_config`; a range error on a key in `lines` names that key's line."""
     try:
         return build_run_config(values)
     except ConfigError as exc:
-        # range errors begin with the key they are about ("a2 must be >= 0, ..."); a
-        # carrier computed for 'auto' is not read from its line, so it gets none
-        key = str(exc).split(" ", 1)[0]
-        if exc.line is not None or key not in lines or values.get(key) is None:
+        if values.get(exc.key) is None or exc.key not in lines:
             raise
-        raise ConfigError(str(exc), lines[key]) from None
+        raise ConfigError(str(exc), lines[exc.key], exc.key) from None
 
 
 def _parse_initial(spec: str) -> QState:
@@ -250,49 +236,20 @@ def _parse_initial(spec: str) -> QState:
 
 
 def initial_state(config: RunConfig) -> QState | None:
-    """Resolve the configured initial state, or None when unset."""
-    if config.initial is None:
-        return None
-    return _parse_initial(config.initial)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    """The configured initial state, parsed when the config was built, or None when unset."""
+    return config._state
 
 
 def emit_config(config: RunConfig) -> str:
     """Serialize a RunConfig back to config text (reloads to an equal value)."""
-    lines = [
-        f"omega1 = {_fmt(config.system.omega1)}",
-        f"omega2 = {_fmt(config.system.omega2)}",
-        f"coupling_j = {_fmt(config.system.coupling_j)}",
-        f"carrier = {_fmt(config.carrier)}",
-        f"a1 = {_fmt(config.a1)}",
-        f"a2 = {_fmt(config.a2)}",
-        f"duration = {'auto' if config.duration is None else _fmt(config.duration)}",
-    ]
-    if config.initial is not None:
-        lines.append(f"initial = {config.initial}")
-    lines.append(f"frame = {config.frame}")
-    if config.sample_dt is not None:
-        lines.append(f"sample_dt = {_fmt(config.sample_dt)}")
-    if config.out is not None:
-        lines.append(f"out = {config.out}")
+    lines = []
+    for key in _ALL_KEYS:
+        value = getattr(config, key)
+        if value is not None:
+            lines.append(f"{key} = {value!r}" if key in _NUMERIC_KEYS else f"{key} = {value}")
+        elif key in _AUTO_KEYS:
+            lines.append(f"{key} = auto")
     return "\n".join(lines) + "\n"
-
-
-def _preset_params24() -> dict:
-    omega1, omega2 = 500.06, 100.0
-    a2 = 0.10016
-    return {
-        "omega1": omega1,
-        "omega2": omega2,
-        "coupling_j": 5.0,
-        "carrier": None,
-        "a1": a2 * omega1 / omega2,
-        "a2": a2,
-        "duration": PARAMS24_DURATION,
-    }
 
 
 #: named parameter sets; values merge under any config file and flag overrides
@@ -306,5 +263,13 @@ PRESETS: dict[str, dict] = {
         "a2": 0.1,
         "duration": None,
     },
-    "params24": _preset_params24(),
+    "params24": {
+        "omega1": 500.06,
+        "omega2": 100.0,
+        "coupling_j": 5.0,
+        "carrier": None,
+        "a1": 0.10016 * 500.06 / 100.0,
+        "a2": 0.10016,
+        "duration": PARAMS24_DURATION,
+    },
 }

@@ -9,6 +9,7 @@ are dimensionless angular frequencies (hbar = 1); times are their inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "digital_state",
     "superposition_state",
     "wrap_angle",
+    "check_param",
     "ResonanceError",
     "GcnPatternError",
     "CalibrationError",
@@ -67,6 +69,40 @@ class GcnPatternError(ValueError):
         self.indices = indices
 
 
+def _positive(x) -> bool:
+    return 0.0 < x < inf
+
+
+def _nonnegative(x) -> bool:
+    return 0.0 <= x < inf
+
+
+#: the range rule of each named value: a test and the requirement it states
+_RULES = {
+    "omega1": (_positive, "must be positive and finite"),
+    "omega2": (_positive, "must be positive and finite"),
+    "coupling_j": (lambda x: -inf < x < inf, "must be finite"),
+    "carrier": (_positive, "must be positive and finite"),
+    "a1": (_nonnegative, "must be >= 0"),
+    "a2": (_nonnegative, "must be >= 0"),
+    "duration": (_nonnegative, "must be finite and >= 0"),
+    "sample_dt": (_positive, "must be positive and finite"),
+    "frame": (lambda x: x in ("raw", "primed"), "must be 'raw' or 'primed'"),
+}
+
+
+def check_param(name: str, value) -> None:
+    """Raise `ValueError` unless `value` meets the range rule of `name`.
+
+    The message reads "<name> <requirement>, got <value>"; numbers print
+    with str(), so a numpy scalar prints as a plain number.
+    """
+    test, requirement = _RULES[name]
+    if not test(value):
+        got = repr(value) if name == "frame" else str(value)
+        raise ValueError(f"{name} {requirement}, got {got}")
+
+
 def wrap_angle(phi: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""
     wrapped = (phi + np.pi) % (2.0 * np.pi) - np.pi
@@ -90,12 +126,9 @@ class SystemParams:
     coupling_j: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega1) and self.omega1 > 0):
-            raise ValueError(f"omega1 must be positive and finite, got {self.omega1}")
-        if not (np.isfinite(self.omega2) and self.omega2 > 0):
-            raise ValueError(f"omega2 must be positive and finite, got {self.omega2}")
-        if not np.isfinite(self.coupling_j):
-            raise ValueError(f"coupling_j must be finite, got {self.coupling_j}")
+        check_param("omega1", self.omega1)
+        check_param("omega2", self.omega2)
+        check_param("coupling_j", self.coupling_j)
 
     @property
     def resonant_carrier(self) -> float:
@@ -117,14 +150,10 @@ class PulseSpec:
     duration: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.carrier) and self.carrier > 0):
-            raise ValueError(f"carrier must be positive and finite, got {self.carrier}")
-        if not (np.isfinite(self.a1) and self.a1 >= 0):
-            raise ValueError(f"a1 must be >= 0, got {self.a1}")
-        if not (np.isfinite(self.a2) and self.a2 >= 0):
-            raise ValueError(f"a2 must be >= 0, got {self.a2}")
-        if not (np.isfinite(self.duration) and self.duration >= 0):
-            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
+        check_param("carrier", self.carrier)
+        check_param("a1", self.a1)
+        check_param("a2", self.a2)
+        check_param("duration", self.duration)
 
 
 @dataclass(frozen=True)
@@ -244,8 +273,7 @@ class TimeSeries:
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         amps = np.asarray(self.amps, dtype=complex)
-        if self.frame not in ("raw", "primed"):
-            raise ValueError(f"frame must be 'raw' or 'primed', got {self.frame!r}")
+        check_param("frame", self.frame)
         if t.ndim != 1 or amps.shape != (t.size, 4):
             raise ValueError("inconsistent row shapes")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(amps))):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,11 @@ class TestParseConfig:
         # an out-of-range value that a later line replaces is no error
         assert parse_config(GOOD.replace("a2 = 0.1", "a2 = -1") + "a2 = 0.2\n").a2 == 0.2
 
+    def test_replaced_value_is_validated(self):
+        with pytest.raises(ConfigError, match=r"^a1 must be >= 0, got -1\.0$") as info:
+            replace(parse_config(GOOD), a1=-1.0)
+        assert info.value.key == "a1" and info.value.line is None
+
     def test_computed_carrier_error_names_no_line(self):
         # carrier = auto resolves to omega2 - J = -1, which no single line set
         with pytest.raises(ConfigError, match="^carrier must be positive") as info:
@@ -146,6 +153,10 @@ class TestInitialState:
         config = parse_config(GOOD.replace("initial = digital:11", f"initial = {spec}"))
         state = initial_state(config)
         assert abs(state.c01 - 0.7071067811865476j) < 1e-15
+
+    def test_parsed_once(self):
+        config = parse_config(GOOD)
+        assert initial_state(config) is initial_state(config)
 
     def test_none_when_unset(self):
         config = parse_config("\n".join(GOOD.splitlines()[:8]))
@@ -217,6 +228,14 @@ class TestRoundTrip:
         again = parse_config(emit_config(config))
         assert again.duration == config.duration
         assert again.a1 == config.a1
+
+    def test_integer_values_emitted_as_floats(self):
+        values = {"omega1": 500, "omega2": 100, "coupling_j": 5, "a1": 1, "a2": 0, "duration": 31}
+        text = emit_config(build_run_config(values))
+        assert text.splitlines()[:7] == [
+            "omega1 = 500.0", "omega2 = 100.0", "coupling_j = 5.0", "carrier = 95.0",
+            "a1 = 1.0", "a2 = 0.0", "duration = 31.0",
+        ]
 
     def test_round_trip_minimal(self):
         config = parse_config("omega1=500\nomega2=100\ncoupling_j=5\na1=0.5\na2=0.1\n")

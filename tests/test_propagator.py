@@ -92,6 +92,10 @@ class TestEvolveExact:
         with pytest.raises(ValueError, match="duration must be finite and >= 0"):
             gen12.gate(-1.0)
 
+    def test_numpy_scalar_duration_printed_as_number(self, gen12):
+        with pytest.raises(ValueError, match=r"^duration must be finite and >= 0, got -1\.0$"):
+            gen12.gate(np.float64(-1.0))
+
     @pytest.mark.parametrize("t", [-1e-300, np.inf, np.nan])
     @pytest.mark.parametrize("frame", ["raw", "primed"])
     def test_nonfinite_or_negative_duration_rejected(self, gen12, t, frame):
@@ -102,6 +106,23 @@ class TestEvolveExact:
         # B[00,00] = -2 (100 - 1e308 - 10) overflows to inf
         with pytest.raises(ValueError, match="generator contains non-finite entries"):
             Generator(1e308, 100.0, 5.0, 0.5, 0.1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("omega1", 0.0), ("omega1", -500.0), ("omega2", 0.0), ("omega2", -100.0),
+         ("coupling_j", np.inf), ("coupling_j", np.nan), ("a1", -0.5), ("a1", np.inf),
+         ("a2", -0.1), ("a2", np.nan)],
+    )
+    def test_out_of_range_inputs_rejected_like_the_dataclasses(self, name, value):
+        point = {"omega1": 500.0, "omega2": 100.0, "coupling_j": 5.0, "a1": 0.5, "a2": 0.1}
+        point[name] = value
+        with pytest.raises(ValueError) as dataclass_error:
+            SystemParams(point["omega1"], point["omega2"], point["coupling_j"])
+            PulseSpec(carrier=95.0, a1=point["a1"], a2=point["a2"], duration=0.0)
+        with pytest.raises(ValueError) as generator_error:
+            Generator(**point)
+        assert str(generator_error.value) == str(dataclass_error.value)
+        assert str(generator_error.value).startswith(f"{name} must be")
 
     @given(t=st.floats(min_value=0.0, max_value=100.0))
     @settings(max_examples=40, deadline=None)

@@ -2,13 +2,21 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import spingate
 import spingate.cli
 import spingate.config
 import spingate.propagator
-from spingate import Generator, SearchSpec, TimeSeries, calibrate_pi_duration, extract_gcn_phases
+from spingate import (
+    Generator,
+    RunConfig,
+    SearchSpec,
+    TimeSeries,
+    calibrate_pi_duration,
+    extract_gcn_phases,
+)
 
 
 def _parameters(obj) -> list[tuple[str, object]]:
@@ -35,6 +43,12 @@ def test_public_surface_is_pinned():
     ]
     # norm is derived from amps, not passed in
     assert _parameters(TimeSeries) == [("t", empty), ("amps", empty), ("frame", empty)]
+    # one field per config key, in the order emit_config writes them
+    assert _parameters(RunConfig) == [
+        ("omega1", empty), ("omega2", empty), ("coupling_j", empty), ("carrier", empty),
+        ("a1", empty), ("a2", empty), ("duration", None), ("initial", None),
+        ("frame", "primed"), ("sample_dt", None), ("out", None),
+    ]
     assert _parameters(SearchSpec) == [
         ("free", empty),
         ("rel_window", 0.005),
@@ -67,3 +81,16 @@ def test_no_private_name_crosses_modules():
                     if alias.name.startswith("_")
                 ]
     assert crossing == []
+
+
+def test_range_rules_are_stated_only_in_core():
+    names = ("omega1", "omega2", "coupling_j", "carrier", "a1", "a2", "duration", "sample_dt",
+             "frame")
+    pattern = re.compile(rf"\b({'|'.join(names)}) must be")
+    stated = [
+        f"{path.name}: {match.group(0)}"
+        for path in sorted(Path(spingate.__file__).parent.glob("*.py"))
+        if path.name != "core.py"
+        for match in pattern.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert stated == []
