@@ -41,22 +41,35 @@ CSV_HEADER = "t,re_c00,im_c00,re_c01,im_c01,re_c10,im_c10,re_c11,im_c11,norm"
 #: 17 significant digits: full double round-trip
 _NUM = "%.16e"
 
+#: rows per `%` call and per write
+_BLOCK_ROWS = 256
+
 
 def write_timeseries_csv(series: TimeSeries, path: str) -> None:
-    """Write the series as `CSV_HEADER` rows, formatted one row at a time."""
+    """Write the series as `CSV_HEADER` rows, formatted in blocks of 256 rows.
+
+    Each block is one `%` over its fields and one write: every field is
+    still formatted `%.16e`, and the text held at once is one block's.
+    """
     # raw-frame amps are a transposed view; the copy lays each row's re, im pairs out in order
     table = np.column_stack((series.t, np.ascontiguousarray(series.amps).view(float), series.norm))
     row = ",".join([_NUM] * len(CSV_HEADER.split(","))) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(CSV_HEADER + "\n")
-        f.writelines(row % tuple(values) for values in table)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _resolve(config: RunConfig) -> tuple[Generator, float]:
-    """The config's generator and duration, from one eigh: 'auto' is timed on the same point."""
+def _resolve(config: RunConfig, pi_timed: bool = False) -> tuple[Generator, float]:
+    """The config's generator and duration, from one eigh.
+
+    The duration is pi-timed on the same point when the config says 'auto'
+    or `pi_timed` asks for it; otherwise it is the configured one.
+    """
     # the duration does not enter B
     gen = build_generator(config.system, config.pulse(duration=0.0))
-    return gen, gen.pi_duration() if config.duration is None else config.duration
+    return gen, gen.pi_duration() if pi_timed or config.duration is None else config.duration
 
 
 def _require(config: RunConfig, field: str):
@@ -125,7 +138,8 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     report_comments: list[str] = []
     tuned = config
     status = 0
-    gen, duration = _resolve(config)
+    # --pi-duration reports the pi timing even when the config sets a duration
+    gen, duration = _resolve(config, pi_timed=args.pi_duration)
 
     if args.pi_duration:
         tuned = replace(tuned, duration=duration)
@@ -251,9 +265,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """`--min -inf` as `--min=-inf`, so the value reaches the range checks.
+
+    argparse takes a separate token such as `-inf` or `-nan` for an option
+    (it reads only digit strings like `-1` as negative numbers); written
+    with `=` it is the flag's value.  A token that parses as a float is
+    attached to the long flag before it; anything else is left for argparse.
+    """
+    joined: list[str] = []
+    for token in argv:
+        previous = joined[-1] if joined else ""
+        if previous.startswith("--") and "=" not in previous and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         flags = {key: getattr(args, key, None) for key in ("initial", "frame", "out", "sample_dt")}
         config = load_config(args.preset, args.config, flags)

@@ -49,6 +49,9 @@ TOMOGRAPHY_UNITARITY_TOL = 1e-8
 _PI_BRACKET = (0.8, 1.2)
 _PI_REL_TOL = 1e-6
 
+#: least transfer a pi-pulse must reach: it moves at least half the population
+_PI_MIN_TRANSFER = 0.5
+
 # a Python float, so the durations it produces print as plain numbers
 _INV_PHI = float((np.sqrt(5.0) - 1.0) / 2.0)
 
@@ -144,7 +147,9 @@ class Generator:
         ------
         CalibrationError
             If the search converges onto a bracket endpoint, i.e. there is no
-            interior maximum; the endpoint transfer values are reported.
+            interior maximum; the endpoint transfer values are reported.  Also
+            if the interior maximum transfers less than half the population
+            (no inversion, as when omega1 = omega2); it is reported with its tau.
         ValueError
             If a2 is not positive (no resonant drive, no pi condition).
         """
@@ -177,6 +182,11 @@ class Generator:
                 f"no interior transfer maximum in [{lo!r}, {hi!r}]: "
                 f"endpoint transfers are {f_lo!r} and {f_hi!r}, "
                 f"best interior value {f_star!r} at {tau_star!r}"
+            )
+        if f_star < _PI_MIN_TRANSFER:
+            raise CalibrationError(
+                f"no population inversion in [{lo!r}, {hi!r}]: "
+                f"best transfer {f_star!r} at {tau_star!r} is below {_PI_MIN_TRANSFER!r}"
             )
         return float(tau_star)
 

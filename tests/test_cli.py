@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +100,7 @@ class TestSimulate:
         assert code == 1
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("sample_dt", ["inf", "nan"])
+    @pytest.mark.parametrize("sample_dt", ["inf", "nan", "-inf"])
     def test_nonfinite_sample_dt_fails(self, tmp_path, capsys, sample_dt):
         out = tmp_path / "x.csv"
         code = run_cli(
@@ -148,17 +149,46 @@ class TestWriteTimeseriesCsv:
             lines.append(",".join(f"{x:.16e}" for x in fields))
         return "\n".join(lines) + "\n"
 
+    @staticmethod
+    def pi_pulse_series(a2: float, frame: str) -> TimeSeries:
+        gen = Generator(500.0, 100.0, 5.0, 0.5, a2)
+        initial = superposition_state([0.3, -0.5j, 0.6 + 0.2j, 0.4], normalize=True)
+        return gen.timeseries(initial, gen.pi_duration(), 0.01, frame)
+
     @pytest.mark.parametrize("frame", ["raw", "primed"])
     @pytest.mark.parametrize("a2", [0.08, 0.025])
     def test_bytes_match_per_field_reference(self, tmp_path, a2, frame):
-        gen = Generator(500.0, 100.0, 5.0, 0.5, a2)
-        initial = superposition_state([0.3, -0.5j, 0.6 + 0.2j, 0.4], normalize=True)
-        series = gen.timeseries(initial, gen.pi_duration(), 0.01, frame)
+        series = self.pi_pulse_series(a2, frame)
         # raw-frame amplitudes are a transposed view, not row-contiguous
         assert series.amps.flags.c_contiguous == (frame == "primed")
         out = tmp_path / "series.csv"
         write_timeseries_csv(series, str(out))
         assert out.read_bytes() == self.reference_text(series).encode("utf-8")
+
+    @pytest.mark.parametrize("frame", ["raw", "primed"])
+    @pytest.mark.parametrize("rows", [1, 2, 255, 256, 257, 513])
+    def test_bytes_match_at_block_edges(self, tmp_path, rows, frame):
+        # the writer formats 256 rows per block: one short block, one full, and one past it
+        full = self.pi_pulse_series(0.08, frame)
+        series = TimeSeries(t=full.t[:rows], amps=full.amps[:rows], frame=frame)
+        # the rows keep the layout of the full series: a transposed view in the raw frame
+        assert series.amps.strides == full.amps.strides
+        out = tmp_path / "series.csv"
+        write_timeseries_csv(series, str(out))
+        assert out.read_bytes() == self.reference_text(series).encode("utf-8")
+
+    @pytest.mark.parametrize("frame", ["raw", "primed"])
+    def test_memory_bounded_by_blocks(self, tmp_path, frame):
+        series = self.pi_pulse_series(0.025, frame)
+        assert len(series) == 12568
+        tracemalloc.start()
+        try:
+            write_timeseries_csv(series, str(tmp_path / "series.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table itself is 1.0 MB; one % over all of it peaks at 8.95 MB
+        assert peak < 2.5e6, f"writer peak {peak / 1e6:.2f} MB, bound 2.5 MB"
 
     def test_gz_suffix_is_written_as_plain_text(self, tmp_path):
         series = TimeSeries(t=np.array([0.0]), amps=np.array([[1, 0, 0, 0]]), frame="raw")
@@ -274,7 +304,8 @@ class TestCalibrate:
         "flag, value, field",
         [("--tol", "nan", "objective_tol"), ("--tol", "inf", "objective_tol"),
          ("--window", "nan", "search window for a2"),
-         ("--window", "inf", "search window for a2")],
+         ("--window", "inf", "search window for a2"),
+         ("--tol", "-inf", "objective_tol"), ("--window", "-nan", "search window for a2")],
     )
     def test_nonfinite_search_settings_fail_cleanly(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "bad.cfg"
@@ -298,6 +329,40 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert err.startswith("error: no interior transfer maximum")
         assert "np.float64" not in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_pi_duration_recalibrates_configured_duration(self, tmp_path, eigh_calls):
+        # params24 sets its pure-CN duration; --pi-duration reports the pi timing instead
+        out = tmp_path / "tuned.cfg"
+        code = run_cli("calibrate", "--preset", "params24", "--pi-duration", "--out", str(out))
+        assert code == 0
+        assert len(eigh_calls) == 1
+        tuned = parse_config(out.read_text())
+        expected = calibrate_pi_duration(tuned.system, tuned.pulse(0.0))
+        assert expected != PARAMS24_DURATION
+        values, _ = read_report(out)
+        assert float(values["pi_duration"]) == tuned.duration == expected
+
+    def test_pi_duration_starts_the_search(self, tmp_path):
+        out = tmp_path / "tuned.cfg"
+        code = run_cli("calibrate", "--preset", "params24", "--pi-duration", "--pure-cn",
+                       "--free", "duration", "--max-evals", "1", "--out", str(out))
+        assert code == 1  # one evaluation cannot converge
+        # the one evaluation is the search's start point: the pi duration, not the preset's
+        tuned = parse_config(out.read_text())
+        assert tuned.duration == calibrate_pi_duration(tuned.system, tuned.pulse(0.0))
+
+    def test_no_inversion_fails_cleanly(self, tmp_path, capsys):
+        config = tmp_path / "degenerate.cfg"
+        config.write_text("omega1 = 100\n")
+        out = tmp_path / "tuned.cfg"
+        code = run_cli("calibrate", "--preset", "params12", "--config", str(config),
+                       "--pi-duration", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no population inversion")
+        assert "best transfer 0.0379" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -402,24 +467,42 @@ class TestSweep:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "bounds, message",
-        [(("0", "inf"), "--max must be finite, got inf"),
-         (("-inf", "1"), "--min must be finite, got -inf"),
-         (("nan", "1"), "--min must be finite, got nan")],
-        ids=["max-inf", "min-minus-inf", "min-nan"],
+        "limits, message",
+        # the = forms, then the spaced forms argparse alone would read as options and exit 2
+        [(("--min=0", "--max=inf"), "--max must be finite, got inf"),
+         (("--min=-inf", "--max=1"), "--min must be finite, got -inf"),
+         (("--min=nan", "--max=1"), "--min must be finite, got nan"),
+         (("--min", "-inf", "--max", "1"), "--min must be finite, got -inf"),
+         (("--min", "0", "--max", "-inf"), "--max must be finite, got -inf"),
+         (("--min", "-nan", "--max", "1"), "--min must be finite, got nan"),
+         (("--mi", "-inf", "--max", "1"), "--min must be finite, got -inf")],
+        ids=["max-inf", "min-minus-inf", "min-nan", "spaced-min-minus-inf",
+             "spaced-max-minus-inf", "spaced-min-minus-nan", "abbreviated-min-minus-inf"],
     )
-    def test_nonfinite_bounds_fail_cleanly(self, tmp_path, capsys, bounds, message):
+    def test_nonfinite_bounds_fail_cleanly(self, tmp_path, capsys, limits, message):
         # np.linspace would warn and hand the checks a nan the user never typed
         out = tmp_path / "sweep.csv"
         code = run_cli(
             "sweep", "--preset", "params12", "--param", "a1",
-            f"--min={bounds[0]}", f"--max={bounds[1]}", "--steps", "3", "--out", str(out),
+            *limits, "--steps", "3", "--out", str(out),
         )
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
         assert "RuntimeWarning" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "limits",
+        [("--min", "--max", "1"), ("--min", "-x", "--max", "1"), ("--min", "0", "--max")],
+        ids=["min-missing", "min-not-a-number", "max-missing"],
+    )
+    def test_missing_bound_is_a_usage_error(self, tmp_path, capsys, limits):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--preset", "params12", "--param", "a1", *limits,
+                    "--out", str(tmp_path / "sweep.csv"))
+        assert excinfo.value.code == 2
+        assert "usage: spingate sweep" in capsys.readouterr().err
 
     def test_auto_duration_sweep_diagonalizes_once_per_point(self, tmp_path, eigh_calls):
         code = run_cli(
