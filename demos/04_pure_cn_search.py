@@ -15,6 +15,7 @@ Run from the repository root:  python3 demos/04_pure_cn_search.py
 import numpy as np
 
 from spingate import (
+    Generator,
     PulseSpec,
     SearchSpec,
     SystemParams,
@@ -23,7 +24,7 @@ from spingate import (
     gate_fidelity,
     tune_pure_cn,
 )
-from spingate.config import PARAMS24_DURATION, PRESETS, build_run_config
+from spingate.config import PARAMS24_DURATION, PRESETS, RunConfig
 
 # each parameter point below is one Generator, diagonalized once
 system = SystemParams(omega1=500.0, omega2=100.0, coupling_j=5.0)
@@ -62,9 +63,9 @@ with np.printoptions(precision=3, suppress=True):
 print(f"    fidelity vs i*CN: {gate_fidelity(gate, 1j * cn_matrix()):.7f}")
 
 print("\n[3] the shipped tuned preset (params24) and its duration sensitivity")
-preset = build_run_config(PRESETS["params24"])
-gen24 = build_generator(preset.system, preset.pulse())
-print(f"    omega1={preset.system.omega1}, a2={preset.a2}, a1=a2*omega1/omega2={preset.a1:.9f}")
+preset = RunConfig(**PRESETS["params24"])
+gen24 = Generator(preset.omega1, preset.omega2, preset.coupling_j, preset.a1, preset.a2)
+print(f"    omega1={preset.omega1}, a2={preset.a2}, a1=a2*omega1/omega2={preset.a1:.9f}")
 print(f"    stored duration: {PARAMS24_DURATION:.9f}")
 print(f"    objective at stored duration:   {gen24.objective(PARAMS24_DURATION):.2e}")
 transfer_tau = gen24.pi_duration()

@@ -11,7 +11,6 @@ from .core import (
     BASIS_INDEX,
     BASIS_LABELS,
     CalibrationError,
-    GateMatrix,
     GcnPatternError,
     GcnPhases,
     PulseSpec,
@@ -21,7 +20,6 @@ from .core import (
     TimeSeries,
     digital_state,
     superposition_state,
-    wrap_angle,
 )
 from .propagator import (
     Generator,
@@ -31,7 +29,6 @@ from .propagator import (
     run_timeseries,
 )
 from .gates import (
-    GCN_PATTERN,
     cn_matrix,
     extract_gcn_phases,
     gate_fidelity,
@@ -40,7 +37,6 @@ from .gates import (
 )
 from .calibrate import (
     SearchSpec,
-    TuneResult,
     calibrate_pi_duration,
     pure_cn_objective,
     tune_pure_cn,
@@ -64,8 +60,6 @@ __all__ = [
     "CalibrationError",
     "ConfigError",
     "EQ21_AMPS",
-    "GCN_PATTERN",
-    "GateMatrix",
     "GcnPatternError",
     "GcnPhases",
     "Generator",
@@ -78,7 +72,6 @@ __all__ = [
     "SearchSpec",
     "SystemParams",
     "TimeSeries",
-    "TuneResult",
     "build_generator",
     "calibrate_pi_duration",
     "cn_matrix",
@@ -96,5 +89,4 @@ __all__ = [
     "superposition_state",
     "tomography",
     "tune_pure_cn",
-    "wrap_angle",
 ]

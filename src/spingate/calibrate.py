@@ -160,7 +160,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         if center[name] == 0.0:
             raise ValueError(f"cannot search {name!r} from a starting value of 0")
     # carrier, omega2 and J are the same at every point of the search
-    check_resonance(params, pulse.carrier)
+    check_resonance(params.omega2, params.coupling_j, pulse.carrier)
     windows = [float(spec.rel_window) * abs(center[n]) for n in spec.free]
     centers = [center[n] for n in spec.free]
     omega2, coupling_j = params.omega2, params.coupling_j

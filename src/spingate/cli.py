@@ -23,11 +23,12 @@ from .core import (
     BASIS_LABELS,
     CalibrationError,
     GcnPatternError,
-    ResonanceError,
+    PulseSpec,
+    SystemParams,
     TimeSeries,
 )
 from .gates import cn_matrix, extract_gcn_phases, gate_fidelity
-from .propagator import Generator, build_generator
+from .propagator import Generator
 
 __all__ = [
     "main",
@@ -67,8 +68,8 @@ def _resolve(config: RunConfig, pi_timed: bool = False) -> tuple[Generator, floa
     The duration is pi-timed on the same point when the config says 'auto'
     or `pi_timed` asks for it; otherwise it is the configured one.
     """
-    # the duration does not enter B
-    gen = build_generator(config.system, config.pulse(duration=0.0))
+    # the config checked the carrier's resonance, and the duration does not enter B
+    gen = Generator(config.omega1, config.omega2, config.coupling_j, config.a1, config.a2)
     return gen, gen.pi_duration() if pi_timed or config.duration is None else config.duration
 
 
@@ -80,13 +81,11 @@ def _require(config: RunConfig, field: str):
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    initial = initial_state(config)
-    if initial is None:
-        raise ConfigError("missing required key 'initial' for this command")
+    _require(config, "initial")
     sample_dt = _require(config, "sample_dt")
     out = _require(config, "out")
     gen, duration = _resolve(config)
-    series = gen.timeseries(initial, duration, sample_dt, config.frame)
+    series = gen.timeseries(initial_state(config), duration, sample_dt, config.frame)
     write_timeseries_csv(series, out)
     print(f"simulate: {len(series)} rows ({config.frame} frame, duration {duration!r}) -> {out}")
     return 0
@@ -158,14 +157,12 @@ def cmd_calibrate(config: RunConfig, args) -> int:
             max_evaluations=args.max_evals,
             objective_tol=args.tol,
         )
-        result = tune_pure_cn(config.system, config.pulse(duration), spec)
-        tuned = replace(
-            tuned,
-            omega1=result.params.omega1,
-            a1=result.pulse.a1,
-            a2=result.pulse.a2,
-            duration=result.pulse.duration,
-        )
+        # the one CLI path that builds the library's system and pulse pair
+        system = SystemParams(config.omega1, config.omega2, config.coupling_j)
+        pulse = PulseSpec(config.carrier, config.a1, config.a2, duration)
+        result = tune_pure_cn(system, pulse, spec)
+        tuned = replace(tuned, omega1=result.params.omega1, a1=result.pulse.a1,
+                        a2=result.pulse.a2, duration=result.pulse.duration)
         report_comments.append(f"# objective = {result.objective!r}")
         report_comments.append(f"# converged = {str(result.converged).lower()}")
         report_comments.append(f"# evaluations = {result.evaluations}")
@@ -217,7 +214,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
 def _add_common(parser: argparse.ArgumentParser, with_initial: bool = True):
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--preset", help=f"named parameter set ({', '.join(sorted(PRESETS))})")
-    parser.add_argument("--frame", choices=("raw", "primed"), help="amplitude frame")
+    parser.add_argument("--frame", help="amplitude frame (raw or primed)")
     parser.add_argument("--out", help="output path")
     if with_initial:
         parser.add_argument("--initial", help="digital:<ik>, eq21, or 4 complex amplitudes")
@@ -232,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="sample amplitude evolution to CSV")
     _add_common(p_sim)
-    p_sim.add_argument("--sample-dt", dest="sample_dt", type=float, help="sampling step")
+    p_sim.add_argument("--sample-dt", dest="sample_dt", help="sampling step")
 
     p_tomo = sub.add_parser("tomography", help="reconstruct the gate and extract phases")
     _add_common(p_tomo, with_initial=False)
@@ -266,25 +263,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
-    """`--min -inf` as `--min=-inf`, so the value reaches the range checks.
+    """`--min -inf` as `--min=-inf`, so the value reaches the checks.
 
-    argparse takes a separate token such as `-inf` or `-nan` for an option
-    (it reads only digit strings like `-1` as negative numbers); written
-    with `=` it is the flag's value.  A token that parses as a float is
-    attached to the long flag before it; anything else is left for argparse.
+    argparse takes a separate token such as `-inf` or `-0.5,0.5,0.5,0.5`
+    for an option (it reads only digit strings like `-1` as negative
+    numbers); written with `=` it is the flag's value.  So a token that
+    starts with a single `-` (other than `-h`) is attached to the long flag
+    before it, when that flag carries no `=` yet.
     """
     joined: list[str] = []
     for token in argv:
         previous = joined[-1] if joined else ""
-        if previous.startswith("--") and "=" not in previous and token.startswith("-"):
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
-                joined[-1] += "=" + token
-                continue
-        joined.append(token)
+        signed = token.startswith("-") and token[:2] not in ("--", "-h")
+        if signed and previous.startswith("--") and "=" not in previous:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
     return joined
 
 
@@ -301,7 +295,7 @@ def main(argv=None) -> int:
         if args.command == "calibrate":
             return cmd_calibrate(config, args)
         return cmd_sweep(config, args)
-    except (ConfigError, ResonanceError, CalibrationError, ValueError, OSError) as exc:
+    except (ValueError, CalibrationError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,11 @@ earlier ones.  Keys:
     sample_dt                    sampling step for time series
     out                          output path
 
+Text, presets and CLI flags only supply values: `RunConfig` construction
+alone converts and checks them, resolving 'auto' and rejecting an
+off-resonant carrier, so one bad value gets one message wherever it came
+from (plus its line, when a config line set it).
+
 Tuned-parameter reports are written in the same grammar, so any report can
 be fed back in as a config.
 """
@@ -27,14 +32,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import PulseSpec, QState, SystemParams, check_param, digital_state, superposition_state
+from .core import QState, check_param, digital_state, superposition_state
+from .propagator import check_resonance
 
 __all__ = [
     "ConfigError",
     "RunConfig",
     "parse_config",
     "load_config",
-    "build_run_config",
     "emit_config",
     "initial_state",
     "PRESETS",
@@ -75,13 +80,15 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated scenario description: one field per config key.
 
-    Construction converts the numbers to float and checks every key that is
-    set against the rules of `core.check_param`, raising `ConfigError` with
-    the key at fault.  `carrier=None` means 'auto' and resolves to
-    omega2 - J; `duration=None` means 'calibrate a pi-pulse when the
-    scenario runs'.  `initial` keeps the original spelling ('digital:11',
-    'eq21', or the amplitude list) so emitted configs reload to an equal
-    RunConfig; it is parsed once, here, and `initial_state` returns the state.
+    Construction is the only place a value is converted and checked, so a
+    config line, a preset, a flag and a direct call agree: numbers may come
+    as text, 'auto' (or None) sets `carrier` to omega2 - J and leaves
+    `duration` None (pi-timed when the scenario runs), every set key meets
+    `core.check_param`, and an explicit carrier has to sit at the resonance
+    omega2 - J.  A failure raises `ConfigError` naming the key.  `initial`
+    keeps its spelling ('digital:11', 'eq21', or the amplitude list) so
+    emitted configs reload to an equal RunConfig; it is parsed once, here,
+    and `initial_state` returns the state.
     """
 
     omega1: float
@@ -100,32 +107,32 @@ class RunConfig:
     def __post_init__(self):
         for key in _ALL_KEYS:
             value = getattr(self, key)
+            if key in _AUTO_KEYS and value == "auto":
+                value = None
             if key == "carrier" and value is None:
                 value = self.omega2 - self.coupling_j
-            if value is None or key == "out":
-                continue
+            if value is not None and key != "out":
+                try:
+                    value = self._checked(key, value)
+                except ValueError as exc:
+                    raise ConfigError(str(exc), key=key) from None
+            object.__setattr__(self, key, value)
+
+    def _checked(self, key: str, value):
+        """`value` converted for `key` and checked against its rules."""
+        if key == "initial":
+            object.__setattr__(self, "_state", _parse_initial(value))
+            return value
+        if key in _NUMERIC_KEYS:
             try:
-                if key == "initial":
-                    object.__setattr__(self, "_state", _parse_initial(value))
-                    continue
-                if key in _NUMERIC_KEYS:
-                    value = float(value)
-                    object.__setattr__(self, key, value)
-                check_param(key, value)
-            except ValueError as exc:
-                raise ConfigError(str(exc), key=key) from None
-
-    @property
-    def system(self) -> SystemParams:
-        return SystemParams(self.omega1, self.omega2, self.coupling_j)
-
-    def pulse(self, duration: float | None = None) -> PulseSpec:
-        """Concrete pulse; `duration` overrides when the config says 'auto'."""
-        if duration is None:
-            duration = self.duration
-        if duration is None:
-            raise ValueError("duration is 'auto'; calibrate it before building the pulse")
-        return PulseSpec(carrier=self.carrier, a1=self.a1, a2=self.a2, duration=duration)
+                value = float(value)
+            except (TypeError, ValueError):
+                kind = "a number or 'auto'" if key in _AUTO_KEYS else "a number"
+                raise ValueError(f"cannot parse {value!r} for key {key!r} as {kind}") from None
+        check_param(key, value)
+        if key == "carrier":
+            check_resonance(self.omega2, self.coupling_j, value)
+        return value
 
 
 _ALL_KEYS = tuple(f.name for f in fields(RunConfig) if f.init)
@@ -134,29 +141,13 @@ _AUTO_KEYS = ("carrier", "duration")  # a number, or 'auto' (stored as None)
 _REQUIRED_KEYS = ("omega1", "omega2", "coupling_j", "a1", "a2")
 
 
-def _parse_value(key: str, value: str):
-    """The typed value of one `key = value` assignment, from a config line or a flag."""
+def _assignment(key: str, value):
+    """`value` unchanged, once its key is known and it is not empty; RunConfig converts it."""
     if key not in _ALL_KEYS:
         raise ConfigError(f"unknown key {key!r}; valid keys are {', '.join(_ALL_KEYS)}")
-    if not value:
+    if value == "":
         raise ConfigError(f"empty value for key {key!r}")
-    if key in _AUTO_KEYS and value == "auto":
-        return None
-    if key in _NUMERIC_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            kind = "a number or 'auto'" if key in _AUTO_KEYS else "a number"
-            raise ConfigError(f"cannot parse {value!r} for key {key!r} as {kind}") from None
     return value
-
-
-def build_run_config(values: Mapping) -> RunConfig:
-    """Assemble and validate a RunConfig from a parsed mapping."""
-    missing = [key for key in _REQUIRED_KEYS if key not in values]
-    if missing:
-        raise ConfigError(f"missing required key(s): {', '.join(missing)}")
-    return RunConfig(**{"carrier": None, **values})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -177,11 +168,12 @@ def load_config(preset: str | None, path: str | None, flags: Mapping[str, object
 def _load(base: Mapping, text: str, flags: Mapping[str, object]) -> RunConfig:
     """`base` values, then the assignments of `text` over them, then flags over both.
 
-    Unknown keys, malformed lines and unparseable values are rejected with
-    the offending line number, and a range error names the line that last
-    assigned the key at fault.  A flag value of None means the flag was not
-    given; a flag value is parsed like a config value but names no line in
-    its errors, and neither does a key whose value was 'auto'.
+    Unknown keys and malformed lines are rejected with the offending line
+    number; the values themselves are converted and checked by `RunConfig`,
+    and an error there names the line that last assigned the key at fault.
+    A flag value of None means the flag was not given; a flag value is
+    checked like a config value but names no line in its errors, and
+    neither does a key whose value was 'auto'.
     """
     values = dict(base)
     lines: dict[str, int] = {}  # the line of each key's last assignment in the text
@@ -194,45 +186,45 @@ def _load(base: Mapping, text: str, flags: Mapping[str, object]) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         try:
-            values[key] = _parse_value(key, value.strip())
+            values[key] = _assignment(key, value.strip())
         except ConfigError as exc:
             raise ConfigError(str(exc), lineno, key) from None
         lines[key] = lineno
     for key, override in flags.items():
         if override is not None:
-            values[key] = _parse_value(key, str(override))
+            values[key] = _assignment(key, override)
             lines.pop(key, None)
+    missing = [key for key in _REQUIRED_KEYS if key not in values]
+    if missing:
+        raise ConfigError(f"missing required key(s): {', '.join(missing)}")
     try:
-        return build_run_config(values)
+        return RunConfig(**{"carrier": None, **values})
     except ConfigError as exc:
-        if values.get(exc.key) is None or exc.key not in lines:
+        if exc.key not in lines or values[exc.key] == "auto":
             raise
         raise ConfigError(str(exc), lines[exc.key], exc.key) from None
 
 
 def _parse_initial(spec: str) -> QState:
+    """The state an `initial` value names; a `ValueError` says what is wrong with it."""
     if spec.startswith("digital:"):
-        label = spec.split(":", 1)[1]
-        try:
-            return digital_state(label)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        return digital_state(spec.split(":", 1)[1])
     if spec == "eq21":
         return superposition_state(EQ21_AMPS)
-    parts = [p.strip() for p in spec.split(",")]
+    parts = spec.split(",")
     if len(parts) != 4:
-        raise ConfigError(
+        raise ValueError(
             f"initial state must be 'digital:<ik>', 'eq21', or 4 comma-separated "
             f"complex amplitudes; got {spec!r}"
         )
     try:
         amps = [complex(p.replace(" ", "")) for p in parts]
     except ValueError:
-        raise ConfigError(f"cannot parse complex amplitudes in {spec!r}")
+        raise ValueError(f"cannot parse complex amplitudes in {spec!r}") from None
     try:
         return superposition_state(amps)
     except ValueError as exc:
-        raise ConfigError(f"invalid initial state {spec!r}: {exc}")
+        raise ValueError(f"invalid initial state {spec!r}: {exc}") from None
 
 
 def initial_state(config: RunConfig) -> QState | None:

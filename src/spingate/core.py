@@ -18,7 +18,6 @@ __all__ = [
     "BASIS_LABELS",
     "BASIS_INDEX",
     "NORM_TOL",
-    "GateMatrix",
     "SystemParams",
     "PulseSpec",
     "QState",
@@ -38,9 +37,6 @@ BASIS_INDEX = {label: i for i, label in enumerate(BASIS_LABELS)}
 
 #: default tolerance on | ||amps||^2 - 1 | for states accepted as physical
 NORM_TOL = 1e-9
-
-#: 4x4 complex ndarray in the fixed basis order
-GateMatrix = np.ndarray
 
 
 class ResonanceError(ValueError):

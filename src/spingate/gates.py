@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GateMatrix, GcnPhases, GcnPatternError, SystemParams, PulseSpec, wrap_angle
+from .core import GcnPhases, GcnPatternError, SystemParams, PulseSpec, wrap_angle
 from .propagator import build_generator
 
 __all__ = [
@@ -38,14 +38,14 @@ GCN_PATTERN = ((0, 0), (1, 1), (2, 3), (3, 2))
 GCN_LEAK_TOL = 1e-2
 
 
-def cn_matrix() -> GateMatrix:
+def cn_matrix() -> np.ndarray:
     """The pure controlled-NOT permutation matrix."""
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[1, 1] = m[2, 3] = m[3, 2] = 1.0
     return m
 
 
-def gcn_matrix(phases: GcnPhases) -> GateMatrix:
+def gcn_matrix(phases: GcnPhases) -> np.ndarray:
     """Controlled-NOT with per-state phases.
 
     Entry placement: e^{i dphi00} at (00,00), e^{i dphi01} at (01,01),
@@ -59,7 +59,7 @@ def gcn_matrix(phases: GcnPhases) -> GateMatrix:
     return m
 
 
-def tomography(params: SystemParams, pulse: PulseSpec, frame: str = "primed") -> GateMatrix:
+def tomography(params: SystemParams, pulse: PulseSpec, frame: str = "primed") -> np.ndarray:
     """Reconstruct the gate a pulse implements, one basis state per column.
 
     Column j is the state at the pulse end for digital input j, optionally
@@ -71,7 +71,7 @@ def tomography(params: SystemParams, pulse: PulseSpec, frame: str = "primed") ->
     return build_generator(params, pulse).gate(pulse.duration, frame)
 
 
-def extract_gcn_phases(gate: GateMatrix) -> GcnPhases:
+def extract_gcn_phases(gate: np.ndarray) -> GcnPhases:
     """Read the four phase shifts off a gate in the phased-CN pattern.
 
     Every entry outside the pattern must have modulus <= GCN_LEAK_TOL and
@@ -118,7 +118,7 @@ def extract_gcn_phases(gate: GateMatrix) -> GcnPhases:
     return GcnPhases(dphi00=dphi00, dphi01=dphi01, dphi10=dphi10, dphi11=dphi11)
 
 
-def gate_fidelity(gate: GateMatrix, target: GateMatrix) -> float:
+def gate_fidelity(gate: np.ndarray, target: np.ndarray) -> float:
     """Global-phase-invariant overlap |trace(target^dag gate)| / 4.
 
     Equals 1 iff gate = e^{i alpha} target; symmetric in its arguments and

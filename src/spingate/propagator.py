@@ -239,13 +239,13 @@ def build_generator(params: SystemParams, pulse: PulseSpec) -> Generator:
     The constant-coefficient form only holds at the carrier choice
     omega = omega2 - J; any other carrier is rejected.
     """
-    check_resonance(params, pulse.carrier)
+    check_resonance(params.omega2, params.coupling_j, pulse.carrier)
     return Generator(params.omega1, params.omega2, params.coupling_j, pulse.a1, pulse.a2)
 
 
-def check_resonance(params: SystemParams, carrier: float) -> None:
+def check_resonance(omega2: float, coupling_j: float, carrier: float) -> None:
     """Raise `ResonanceError` unless the carrier is omega2 - J to `RESONANCE_RTOL`."""
-    resonant = params.resonant_carrier
+    resonant = omega2 - coupling_j
     if abs(carrier - resonant) > RESONANCE_RTOL * max(1.0, abs(resonant)):
         raise ResonanceError(
             f"carrier {carrier!r} is off resonance: the constant-coefficient "

@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spingate import Generator, TimeSeries, calibrate_pi_duration, superposition_state
+from spingate import (
+    Generator,
+    PulseSpec,
+    SystemParams,
+    TimeSeries,
+    calibrate_pi_duration,
+    superposition_state,
+)
 from spingate.cli import CSV_HEADER, main, write_timeseries_csv
 from spingate.config import PARAMS24_DURATION, parse_config
 
@@ -35,6 +42,12 @@ def read_report(path):
         elif line and not line.startswith("#"):
             rows.append(line)
     return values, rows
+
+
+def pi_duration_of(config) -> float:
+    """The library's pi timing at the point of a config."""
+    system = SystemParams(config.omega1, config.omega2, config.coupling_j)
+    return calibrate_pi_duration(system, PulseSpec(config.carrier, config.a1, config.a2, 0.0))
 
 
 class TestSimulate:
@@ -98,6 +111,29 @@ class TestSimulate:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+    def test_spaced_negative_initial_matches_attached_form(self, tmp_path):
+        # argparse alone reads a spaced "-0.5,..." as an option and exits 2
+        amps = "-0.5,0.5,0.5,0.5"
+        spaced, attached = tmp_path / "spaced.csv", tmp_path / "attached.csv"
+        common = ("simulate", "--preset", "params12", "--sample-dt", "1")
+        assert run_cli(*common, "--initial", amps, "--out", str(spaced)) == 0
+        assert run_cli(*common, f"--initial={amps}", "--out", str(attached)) == 0
+        assert spaced.read_bytes() == attached.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--frame", "lab", "frame must be 'raw' or 'primed', got 'lab'"),
+         ("--sample-dt", "fast", "cannot parse 'fast' for key 'sample_dt' as a number")],
+    )
+    def test_bad_config_flag_exits_1_without_usage(self, tmp_path, capsys, flag, value, message):
+        # a config-key flag is checked like its config line: exit 1, not argparse's exit 2
+        out = tmp_path / "x.csv"
+        argv = {"--initial": "digital:11", "--sample-dt": "0.05", flag: value, "--out": str(out)}
+        code = run_cli("simulate", "--preset", "params12", *(t for kv in argv.items() for t in kv))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sample_dt", ["inf", "nan", "-inf"])
@@ -261,7 +297,7 @@ class TestCalibrate:
         assert values["converged"] == "true"
         assert float(values["objective"]) <= 1e-3
         tuned = parse_config(out.read_text())
-        assert tuned.system.omega1 > 500.0
+        assert tuned.omega1 > 500.0
         assert tuned.a2 > 0.1
 
     def test_amplitude_only_search_not_converged(self, tmp_path):
@@ -297,7 +333,7 @@ class TestCalibrate:
         values, _ = read_report(out)
         assert values["converged"] == "true"
         tuned = parse_config(out.read_text())
-        assert tuned.duration == calibrate_pi_duration(tuned.system, tuned.pulse(0.0))
+        assert tuned.duration == pi_duration_of(tuned)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -339,7 +375,7 @@ class TestCalibrate:
         assert code == 0
         assert len(eigh_calls) == 1
         tuned = parse_config(out.read_text())
-        expected = calibrate_pi_duration(tuned.system, tuned.pulse(0.0))
+        expected = pi_duration_of(tuned)
         assert expected != PARAMS24_DURATION
         values, _ = read_report(out)
         assert float(values["pi_duration"]) == tuned.duration == expected
@@ -351,7 +387,7 @@ class TestCalibrate:
         assert code == 1  # one evaluation cannot converge
         # the one evaluation is the search's start point: the pi duration, not the preset's
         tuned = parse_config(out.read_text())
-        assert tuned.duration == calibrate_pi_duration(tuned.system, tuned.pulse(0.0))
+        assert tuned.duration == pi_duration_of(tuned)
 
     def test_no_inversion_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "degenerate.cfg"

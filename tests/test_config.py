@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from spingate.config import (
     EQ21_AMPS,
     PARAMS24_DURATION,
     PRESETS,
-    build_run_config,
+    RunConfig,
     emit_config,
     initial_state,
     load_config,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 GOOD = """\
 # benchmark parameters
@@ -33,7 +37,7 @@ out = run.csv
 class TestParseConfig:
     def test_valid_document(self):
         config = parse_config(GOOD)
-        assert config.system.omega1 == 500.0
+        assert config.omega1 == 500.0
         assert config.carrier == 95.0  # auto resolved to omega2 - J
         assert config.duration is None  # auto
         assert config.initial == "digital:11"
@@ -48,7 +52,7 @@ class TestParseConfig:
 
     def test_unparseable_number_with_line_number(self):
         with pytest.raises(ConfigError, match="line 2.*cannot parse"):
-            parse_config("omega1 = 500\nomega2 = fast\n")
+            parse_config("omega1 = 500\nomega2 = fast\ncoupling_j = 5\na1 = 0.5\na2 = 0.1\n")
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -131,6 +135,41 @@ class TestParseConfig:
         assert info.value.line is None
 
 
+class TestOnePath:
+    """RunConfig alone converts and checks a value, wherever the value comes from."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("a1", "x", "cannot parse 'x' for key 'a1' as a number"),
+         ("frame", "lab", "frame must be 'raw' or 'primed', got 'lab'"),
+         ("sample_dt", "-1", "sample_dt must be positive and finite, got -1.0"),
+         ("carrier", "96", "carrier 96.0 is off resonance: the constant-coefficient "
+                           "rotating-frame equations require omega = omega2 - J = 95.0")],
+        ids=["unparseable", "bad-frame", "out-of-range", "off-resonance"],
+    )
+    def test_same_message_from_line_flag_and_direct_call(self, tmp_path, key, value, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# one bad value\n{key} = {value}\n")
+        routes = (
+            lambda: load_config("params12", str(path), {}),
+            lambda: load_config("params12", None, {key: value}),
+            lambda: RunConfig(**{**PRESETS["params12"], key: value}),
+        )
+        messages = []
+        for route in routes:
+            with pytest.raises(ConfigError) as info:
+                route()
+            assert info.value.key == key
+            messages.append(str(info.value))
+        assert messages == [f"line 2: {message}", message, message]
+
+    def test_text_and_auto_reach_the_record_unconverted(self):
+        text = {key: str(value) for key, value in PRESETS["params24"].items() if value is not None}
+        config = RunConfig(**text, carrier="auto", initial="eq21", sample_dt="0.5")
+        assert config == RunConfig(**PRESETS["params24"], initial="eq21", sample_dt=0.5)
+        assert config.carrier == 95.0 and config.sample_dt == 0.5
+
+
 class TestInitialState:
     def test_digital(self):
         config = parse_config(GOOD)
@@ -165,23 +204,23 @@ class TestInitialState:
 
 class TestPresets:
     def test_params12_expansion(self):
-        config = build_run_config(PRESETS["params12"])
-        assert config.system.omega1 == 500.0
-        assert config.system.omega2 == 100.0
-        assert config.system.coupling_j == 5.0
+        config = RunConfig(**PRESETS["params12"])
+        assert config.omega1 == 500.0
+        assert config.omega2 == 100.0
+        assert config.coupling_j == 5.0
         assert config.carrier == 95.0
         assert config.a1 == 0.5 and config.a2 == 0.1
         assert config.duration is None
 
     def test_params24_expansion(self):
-        config = build_run_config(PRESETS["params24"])
-        assert config.system.omega1 == 500.06
+        config = RunConfig(**PRESETS["params24"])
+        assert config.omega1 == 500.06
         assert config.a2 == 0.10016
         assert config.a1 == pytest.approx(0.10016 * 500.06 / 100.0, abs=1e-15)
         assert config.duration == PARAMS24_DURATION
 
     def test_preset_overridable(self):
-        preset = emit_config(build_run_config(PRESETS["params12"]))
+        preset = emit_config(RunConfig(**PRESETS["params12"]))
         config = parse_config(preset + "a2 = 0.11\nframe = raw\n")
         assert config.a2 == 0.11
         assert config.frame == "raw"
@@ -224,14 +263,14 @@ class TestRoundTrip:
 
     def test_round_trip_preserves_full_precision(self):
         values = dict(PRESETS["params24"])
-        config = build_run_config(values)
+        config = RunConfig(**values)
         again = parse_config(emit_config(config))
         assert again.duration == config.duration
         assert again.a1 == config.a1
 
     def test_integer_values_emitted_as_floats(self):
         values = {"omega1": 500, "omega2": 100, "coupling_j": 5, "a1": 1, "a2": 0, "duration": 31}
-        text = emit_config(build_run_config(values))
+        text = emit_config(RunConfig(carrier=None, **values))
         assert text.splitlines()[:7] == [
             "omega1 = 500.0", "omega2 = 100.0", "coupling_j = 5.0", "carrier = 95.0",
             "a1 = 1.0", "a2 = 0.0", "duration = 31.0",
@@ -239,4 +278,12 @@ class TestRoundTrip:
 
     def test_round_trip_minimal(self):
         config = parse_config("omega1=500\nomega2=100\ncoupling_j=5\na1=0.5\na2=0.1\n")
+        assert parse_config(emit_config(config)) == config
+
+    def test_readme_config_example(self):
+        blocks = re.findall(r"```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        examples = [block for block in blocks if block.startswith("omega1 = ")]
+        assert len(examples) == 1
+        config = parse_config(examples[0])
+        assert (config.carrier, config.duration, config.initial) == (95.0, None, "digital:11")
         assert parse_config(emit_config(config)) == config

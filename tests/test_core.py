@@ -13,9 +13,9 @@ from spingate import (
     TimeSeries,
     digital_state,
     superposition_state,
-    wrap_angle,
 )
 from spingate.config import EQ21_AMPS
+from spingate.core import wrap_angle
 
 
 class TestSystemParams:

@@ -26,14 +26,14 @@ def _parameters(obj) -> list[tuple[str, object]]:
 def test_public_surface_is_pinned():
     assert sorted(spingate.__all__) == [
         "BASIS_INDEX", "BASIS_LABELS", "CalibrationError", "ConfigError", "EQ21_AMPS",
-        "GCN_PATTERN", "GateMatrix", "GcnPatternError", "GcnPhases", "Generator",
+        "GcnPatternError", "GcnPhases", "Generator",
         "PARAMS24_DURATION", "PRESETS", "PulseSpec", "QState", "ResonanceError",
-        "RunConfig", "SearchSpec", "SystemParams", "TimeSeries", "TuneResult",
+        "RunConfig", "SearchSpec", "SystemParams", "TimeSeries",
         "build_generator", "calibrate_pi_duration", "cn_matrix", "digital_state",
         "emit_config", "evolve_rk4", "extract_gcn_phases",
         "frame_phase_factors", "gate_fidelity", "gcn_matrix", "initial_state",
         "parse_config", "pure_cn_objective", "run_timeseries", "superposition_state",
-        "tomography", "tune_pure_cn", "wrap_angle",
+        "tomography", "tune_pure_cn",
     ]
     empty = inspect.Parameter.empty
     assert _parameters(calibrate_pi_duration) == [("params", empty), ("pulse_template", empty)]
@@ -63,7 +63,7 @@ def test_module_surfaces_are_pinned():
     assert sorted(spingate.cli.__all__) == ["CSV_HEADER", "main", "write_timeseries_csv"]
     assert sorted(spingate.config.__all__) == [
         "ConfigError", "EQ21_AMPS", "PARAMS24_DURATION", "PRESETS", "RunConfig",
-        "build_run_config", "emit_config", "initial_state", "load_config", "parse_config",
+        "emit_config", "initial_state", "load_config", "parse_config",
     ]
     assert sorted(spingate.propagator.__all__) == [
         "Generator", "build_generator", "evolve_rk4", "frame_phase_factors", "run_timeseries",
