@@ -22,6 +22,7 @@ numpy at run time.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,11 +166,15 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     centers = [center[n] for n in spec.free]
     omega2, coupling_j = params.omega2, params.coupling_j
     recalibrate = spec.recalibrate_duration and "duration" not in spec.free
+    # a point's free coordinates, then the fixed ones: `pick` reads omega1, a2, duration off them
+    order = spec.free + tuple(n for n in _FREE_ORDER if n not in spec.free)
+    fixed = tuple(center[n] for n in order[len(spec.free):])
+    pick = operator.itemgetter(*map(order.index, _FREE_ORDER))
     evaluations, best_val, best_point = 0, np.inf, None
     scored = {}  # clamped free coordinates -> objective value, for this search only
 
     def objective(z) -> float:
-        # scored from plain numbers: no dataclass per point, one Generator, one gate
+        # scored from plain numbers: no dataclass or dict per point, one Generator, one gate
         nonlocal evaluations, best_val, best_point
         if evaluations == spec.max_evaluations:
             raise _BudgetSpent
@@ -183,16 +188,15 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
             # a revisit counts against the budget, but cannot be a new best
             evaluations += 1
             return value
-        x = dict(center)
-        x.update(zip(spec.free, point))
-        x["a1"] = x["a2"] * x["omega1"] / omega2 if spec.tie_a1 else pulse.a1
-        gen = Generator(x["omega1"], omega2, coupling_j, x["a1"], x["a2"])
+        omega1, a2, duration = pick(point + fixed)
+        a1 = a2 * omega1 / omega2 if spec.tie_a1 else pulse.a1
+        gen = Generator(omega1, omega2, coupling_j, a1, a2)
         if recalibrate:
-            x["duration"] = gen.pi_duration()
-        value = scored[point] = gen.objective(x["duration"])
+            duration = gen.pi_duration()
+        value = scored[point] = gen.objective(duration)
         evaluations += 1
         if value < best_val:
-            best_val, best_point = value, x
+            best_val, best_point = value, dict(omega1=omega1, a1=a1, a2=a2, duration=duration)
         return value
 
     def done() -> bool:

@@ -83,7 +83,8 @@ class RunConfig:
     Construction is the only place a value is converted and checked, so a
     config line, a preset, a flag and a direct call agree: numbers may come
     as text, 'auto' (or None) sets `carrier` to omega2 - J and leaves
-    `duration` None (pi-timed when the scenario runs), every set key meets
+    `duration` None (pi-timed when the scenario runs), the five required
+    keys may not be None, every set key meets
     `core.check_param`, and an explicit carrier has to sit at the resonance
     omega2 - J.  A failure raises `ConfigError` naming the key.  `initial`
     keeps its spelling ('digital:11', 'eq21', or the amplitude list) so
@@ -109,6 +110,9 @@ class RunConfig:
             value = getattr(self, key)
             if key in _AUTO_KEYS and value == "auto":
                 value = None
+            if value is None and key in _REQUIRED_KEYS:
+                # omega2 and coupling_j come before carrier, which is derived from them
+                raise ConfigError(f"missing required key(s): {key}", key=key)
             if key == "carrier" and value is None:
                 value = self.omega2 - self.coupling_j
             if value is not None and key != "out":

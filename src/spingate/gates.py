@@ -17,6 +17,8 @@ c11 amplitude, which the gate deposits in the c10 slot, and vice versa.
 
 from __future__ import annotations
 
+from math import atan2
+
 import numpy as np
 
 from .core import GcnPhases, GcnPatternError, SystemParams, PulseSpec, wrap_angle
@@ -33,6 +35,7 @@ __all__ = [
 
 #: (row, column) indices of the nonzero entries of a phased controlled-NOT
 GCN_PATTERN = ((0, 0), (1, 1), (2, 3), (3, 2))
+_OFF_PATTERN = tuple(k for k in range(16) if divmod(k, 4) not in GCN_PATTERN)  # row-major
 
 #: largest modulus off the phased-CN pattern (and deficit on it) a gate may have
 GCN_LEAK_TOL = 1e-2
@@ -88,44 +91,45 @@ def extract_gcn_phases(gate: np.ndarray) -> GcnPhases:
     if not defect <= 1e-6:
         raise ValueError(f"gate is not unitary within 1e-6 (defect {defect:.3e})")
 
-    moduli = np.abs(gate)
-    off = moduli.copy()
-    for i, j in GCN_PATTERN:
-        off[i, j] = 0.0
-    worst_idx = np.unravel_index(np.argmax(off), off.shape)
-    worst_leak = float(off[worst_idx])
+    # read out in Python floats, except np.abs's moduli (abs() lacks its fused multiply-add)
+    z = gate.ravel().tolist()
+    moduli = np.abs(gate).ravel().tolist()
+    # the first largest off-pattern modulus in row-major order, as np.argmax picks it
+    k = max(_OFF_PATTERN, key=moduli.__getitem__)
+    worst_leak, worst_idx = moduli[k], divmod(k, 4)
     if worst_leak > GCN_LEAK_TOL:
         raise GcnPatternError(
             f"entry {worst_idx} has modulus {worst_leak:.3e} outside the phased-CN "
             f"pattern (leak tolerance {GCN_LEAK_TOL:g}); the gate is not a conditional NOT",
             max_leak=worst_leak,
-            indices=(int(worst_idx[0]), int(worst_idx[1])),
+            indices=worst_idx,
         )
     for i, j in GCN_PATTERN:
-        if moduli[i, j] < 1.0 - GCN_LEAK_TOL:
+        if moduli[4 * i + j] < 1.0 - GCN_LEAK_TOL:
             raise GcnPatternError(
-                f"patterned entry ({i}, {j}) has modulus {moduli[i, j]:.6f} below "
+                f"patterned entry ({i}, {j}) has modulus {moduli[4 * i + j]:.6f} below "
                 f"1 - {GCN_LEAK_TOL:g}; the gate is not a conditional NOT",
-                max_leak=float(1.0 - moduli[i, j]),
+                max_leak=1.0 - moduli[4 * i + j],
                 indices=(i, j),
             )
 
-    global_phase = np.angle(gate[0, 0])
-    dphi00 = 0.0
-    dphi01 = wrap_angle(np.angle(gate[1, 1]) - global_phase)
-    dphi11 = wrap_angle(np.angle(gate[2, 3]) - global_phase)
-    dphi10 = wrap_angle(np.angle(gate[3, 2]) - global_phase)
-    return GcnPhases(dphi00=dphi00, dphi01=dphi01, dphi10=dphi10, dphi11=dphi11)
+    # the argument as np.angle and cmath.phase take it, without importing cmath
+    global_phase = atan2(z[0].imag, z[0].real)
+    dphi01 = wrap_angle(atan2(z[5].imag, z[5].real) - global_phase)
+    dphi11 = wrap_angle(atan2(z[11].imag, z[11].real) - global_phase)
+    dphi10 = wrap_angle(atan2(z[14].imag, z[14].real) - global_phase)
+    return GcnPhases(dphi00=0.0, dphi01=dphi01, dphi10=dphi10, dphi11=dphi11)
 
 
 def gate_fidelity(gate: np.ndarray, target: np.ndarray) -> float:
     """Global-phase-invariant overlap |trace(target^dag gate)| / 4.
 
     Equals 1 iff gate = e^{i alpha} target; symmetric in its arguments and
-    unchanged when either is multiplied by any unit-modulus scalar.
+    unchanged when either is multiplied by any unit-modulus scalar.  The
+    trace is np.vdot(target, gate): the conjugated dot product of the entries.
     """
     gate = np.asarray(gate, dtype=complex)
     target = np.asarray(target, dtype=complex)
     if gate.shape != (4, 4) or target.shape != (4, 4):
         raise ValueError("both matrices must be 4x4")
-    return float(abs(np.trace(target.conj().T @ gate)) / 4.0)
+    return float(abs(np.vdot(target, gate)) / 4.0)

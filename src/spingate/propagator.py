@@ -92,15 +92,17 @@ class Generator:
             names = ("omega1", "omega2", "coupling_j", "a1", "a2")
             for name, value in zip(names, (omega1, omega2, coupling_j, a1, a2)):
                 check_param(name, value)
+        d0 = -2.0 * (omega2 - omega1 - 2.0 * coupling_j)
+        d1 = -2.0 * (omega2 - omega1)
+        # a1 and a2 are finite by the chain above, so B is finite iff its two detunings are
+        if not (-inf < d0 < inf and -inf < d1 < inf):
+            raise ValueError("generator contains non-finite entries")
         b = np.zeros((4, 4))
-        b[0, 0] = -2.0 * (omega2 - omega1 - 2.0 * coupling_j)
-        b[1, 1] = -2.0 * (omega2 - omega1)
+        b[0, 0], b[1, 1] = d0, d1
         b[0, 1] = b[1, 0] = a2
         b[0, 2] = b[2, 0] = a1
         b[1, 3] = b[3, 1] = a1
         b[2, 3] = b[3, 2] = a2
-        if not np.isfinite(b).all():
-            raise ValueError("generator contains non-finite entries")
         # looked up per call, so a wrapper put on numpy.linalg sees every one
         lam, v = np.linalg.eigh(b)
         # read-only; the positional form costs a quarter of setflags(write=False)
@@ -117,12 +119,13 @@ class Generator:
         The state at time t is `gate(t, frame) @ amps`, so column j is the
         pulse-end state of digital input j; "primed" rephases U's rows.
         """
-        check_param("duration", tau)
-        check_param("frame", frame)
+        if not (0.0 <= tau < inf and (frame == "raw" or frame == "primed")):
+            check_param("duration", tau)
+            check_param("frame", frame)
         gate = (self.v * np.exp(0.5j * self.lam * tau)) @ self.v.T
         defect = np.abs(gate.conj().T @ gate - _EYE4).max()
         if defect > TOMOGRAPHY_UNITARITY_TOL:
-            raise RuntimeError(f"tomography produced a non-unitary matrix (defect {defect:.3e})")
+            raise RuntimeError(f"gate at tau={tau!r} is not unitary (defect {defect:.3e})")
         if frame == "primed":
             gate = frame_phase_factors(self, tau)[:, None] * gate
         return gate
@@ -194,9 +197,9 @@ class Generator:
         """Raw-frame infidelity against i * CN at duration tau.
 
         1 - |tr((i CN)^dag U)| / 4, with the trace written out: (i CN)^dag U
-        has -i times U[0,0], U[1,1], U[3,2], U[2,3] on its diagonal, and the
-        sum is grouped as np.trace sums four complex numbers, so the value has
-        the bits of `gate_fidelity`'s.
+        has -i times U[0,0], U[1,1], U[3,2], U[2,3] on its diagonal.  It
+        agrees with 1 - `gate_fidelity(U, i CN)` to 1e-15, not to the bit:
+        that one sums all sixteen products of the flattened matrices.
         """
         g = self.gate(tau)
         return 1.0 - float(abs((g[0, 0] + g[1, 1]) + (g[3, 2] + g[2, 3])) / 4.0)

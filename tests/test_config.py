@@ -169,6 +169,19 @@ class TestOnePath:
         assert config == RunConfig(**PRESETS["params24"], initial="eq21", sample_dt=0.5)
         assert config.carrier == 95.0 and config.sample_dt == 0.5
 
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            ((None, 100.0, 5.0, None, 0.5, 0.1), "omega1"),
+            ((500.0, None, 5.0, None, 0.5, 0.1), "omega2"),
+        ],
+        ids=["omega1", "omega2_before_carrier"],
+    )
+    def test_none_for_required_key_rejected(self, args, key):
+        with pytest.raises(ConfigError, match=rf"^missing required key\(s\): {key}$") as excinfo:
+            RunConfig(*args)
+        assert excinfo.value.key == key
+
 
 class TestInitialState:
     def test_digital(self):

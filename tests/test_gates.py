@@ -16,8 +16,43 @@ from spingate import (
     tomography,
 )
 from spingate.config import EQ21_AMPS
+from spingate.core import wrap_angle
+from spingate.gates import GCN_LEAK_TOL, GCN_PATTERN
 
 _angles = st.floats(min_value=-np.pi + 1e-6, max_value=np.pi)
+
+
+def _numpy_readout(gate: np.ndarray) -> tuple[float, ...]:
+    """The phase readout in numpy: np.abs, np.argmax, np.angle and wrap_angle."""
+    moduli = np.abs(gate)
+    off = moduli.copy()
+    for i, j in GCN_PATTERN:
+        off[i, j] = 0.0
+    worst = np.unravel_index(np.argmax(off), off.shape)
+    if off[worst] > GCN_LEAK_TOL:
+        indices = (int(worst[0]), int(worst[1]))
+        raise GcnPatternError("", max_leak=float(off[worst]), indices=indices)
+    for i, j in GCN_PATTERN:
+        if moduli[i, j] < 1.0 - GCN_LEAK_TOL:
+            raise GcnPatternError("", max_leak=float(1.0 - moduli[i, j]), indices=(i, j))
+    ref = np.angle(gate[0, 0])
+    return (0.0, *(wrap_angle(np.angle(gate[i, j]) - ref) for i, j in ((1, 1), (3, 2), (2, 3))))
+
+
+@st.composite
+def _leaky_gcn(draw) -> np.ndarray:
+    """A phased CN times one to three Givens rotations; sin(theta) spans GCN_LEAK_TOL."""
+    gate = gcn_matrix(GcnPhases(*(draw(_angles) for _ in range(4))))
+    for _ in range(draw(st.integers(1, 3))):
+        p, q = draw(st.sampled_from([(p, q) for p in range(4) for q in range(p + 1, 4)]))
+        theta = draw(st.floats(0.0, 3.0 * GCN_LEAK_TOL))
+        phi = draw(_angles)
+        rotation = np.eye(4, dtype=complex)
+        rotation[p, p] = rotation[q, q] = np.cos(theta)
+        rotation[p, q] = -np.exp(-1j * phi) * np.sin(theta)
+        rotation[q, p] = np.exp(1j * phi) * np.sin(theta)
+        gate = gate @ rotation
+    return gate
 
 
 class TestCnMatrix:
@@ -93,7 +128,8 @@ class TestExtractGcnPhases:
         with pytest.raises(GcnPatternError) as excinfo:
             extract_gcn_phases(np.eye(4, dtype=complex))
         err = excinfo.value
-        assert err.indices in ((2, 2), (3, 3))
+        # tied leaks: the first in row-major order is reported
+        assert err.indices == (2, 2)
         assert err.max_leak == pytest.approx(1.0)
 
     def test_small_leak_within_tolerance_accepted(self):
@@ -114,7 +150,25 @@ class TestExtractGcnPhases:
         with pytest.raises(GcnPatternError) as excinfo:
             extract_gcn_phases(g)
         assert excinfo.value.max_leak == pytest.approx(np.sin(delta))
-        assert excinfo.value.indices in ((2, 2), (3, 3))
+        assert excinfo.value.indices == (2, 2)
+
+    @given(gate=_leaky_gcn())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_readout(self, gate):
+        try:
+            want = _numpy_readout(gate)
+        except GcnPatternError as expected:
+            with pytest.raises(GcnPatternError) as excinfo:
+                extract_gcn_phases(gate)
+            assert excinfo.value.indices == expected.indices
+            assert excinfo.value.max_leak == expected.max_leak
+            return
+        got = extract_gcn_phases(gate).as_tuple()
+        assert got[0] == 0.0
+        # math.atan2 and np.angle may differ by an ulp; compared on the circle so a phase
+        # at the +-pi cut counts as the same angle
+        for g, w in zip(got, want):
+            assert abs(wrap_angle(g - w)) <= 1e-15
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -152,6 +206,13 @@ class TestGateFidelity:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             gate_fidelity(np.eye(3, dtype=complex), cn_matrix())
+
+    @given(gate=_leaky_gcn(), target=_leaky_gcn())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_trace_of_product(self, gate, target):
+        # vdot sums the sixteen products in another order than the trace of the product
+        want = abs(np.trace(target.conj().T @ gate)) / 4.0
+        assert abs(gate_fidelity(gate, target) - want) <= 1e-15
 
 
 class TestTomography:

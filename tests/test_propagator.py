@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,18 @@ class TestEvolveExact:
         # B[00,00] = -2 (100 - 1e308 - 10) overflows to inf
         with pytest.raises(ValueError, match="generator contains non-finite entries"):
             Generator(1e308, 100.0, 5.0, 0.5, 0.1)
+
+    @pytest.mark.parametrize(
+        "point, overflowing",
+        [((1.0, 1.0, 1e308, 0.5, 0.1), 0), ((1.0, 1e308, 5e307, 0.5, 0.1), 1)],
+        ids=["d0_only", "d1_only"],
+    )
+    def test_each_nonfinite_detuning_rejected(self, point, overflowing):
+        omega1, omega2, coupling_j, _, _ = point
+        detunings = [-2.0 * (omega2 - omega1 - 2.0 * coupling_j), -2.0 * (omega2 - omega1)]
+        assert [math.isfinite(d) for d in detunings] == [overflowing != k for k in (0, 1)]
+        with pytest.raises(ValueError, match="^generator contains non-finite entries$"):
+            Generator(*point)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -287,6 +300,24 @@ class TestSpectralKernel:
     def test_tomography_diagonalizes_once(self, params12, pulse12, frame, eigh_calls):
         tomography(params12, pulse12, frame=frame)
         assert len(eigh_calls) == 1
+
+
+class TestUnitarityGuard:
+    def test_skewed_eigenvectors_raise_with_the_defect(self, monkeypatch, tau12):
+        original = np.linalg.eigh
+
+        def skewed(b):
+            lam, v = original(b)
+            return lam, v * (1.0 + 1e-6)
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        gen = Generator(500.0, 100.0, 5.0, 0.5, 0.1)
+        # U scales by (1 + 1e-6)^2, so U^dag U - I = ((1 + 1e-6)^4 - 1) I: defect 4.000e-06
+        defect = (1.0 + 1e-6) ** 4 - 1.0
+        message = rf"^gate at tau={re.escape(repr(tau12))} is not unitary \(defect {defect:.3e}\)$"
+        for evaluate in (gen.gate, lambda tau: gen.gate(tau, "primed"), gen.objective):
+            with pytest.raises(RuntimeError, match=message):
+                evaluate(tau12)
 
 
 class TestEvolveRk4:

@@ -2,7 +2,10 @@
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import spingate
@@ -94,3 +97,17 @@ def test_range_rules_are_stated_only_in_core():
         for match in pattern.finditer(path.read_text(encoding="utf-8"))
     ]
     assert stated == []
+
+
+def test_cli_import_loads_no_test_or_oracle_dependency():
+    # a fresh interpreter, since this suite itself imports scipy and hypothesis
+    code = (
+        "import sys, spingate.cli; "
+        "print(sorted({m.partition('.')[0] for m in sys.modules}"
+        " & {'scipy', 'mpmath', 'sympy', 'hypothesis'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(spingate.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"
