@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PulseSpec, SystemParams
-from .propagator import Generator, build_generator, check_resonance
+from .core import PulseSpec, SystemParams, check_resonance
+from .propagator import Generator, build_generator
 
 __all__ = [
     "calibrate_pi_duration",
@@ -98,7 +98,7 @@ class SearchSpec:
 
     def __post_init__(self):
         free = tuple(name for name in _FREE_ORDER if name in self.free)
-        if len(free) != len(set(self.free)) or set(free) != set(self.free):
+        if set(free) != set(self.free):
             bad = set(self.free) - set(_FREE_ORDER)
             raise ValueError(f"unknown free parameters {sorted(bad)}; choose from {_FREE_ORDER}")
         if not free:

@@ -21,7 +21,6 @@ from .calibrate import SearchSpec, tune_pure_cn
 from .config import PRESETS, ConfigError, RunConfig, emit_config, initial_state, load_config
 from .core import (
     BASIS_LABELS,
-    CalibrationError,
     GcnPatternError,
     PulseSpec,
     SystemParams,
@@ -174,9 +173,8 @@ def cmd_calibrate(config: RunConfig, args) -> int:
         if not result.converged:
             status = 1
 
-    report = emit_config(tuned) + "\n".join(report_comments)
-    if report_comments:
-        report += "\n"
+    # one of the two task flags is required, so there is at least one comment
+    report = emit_config(tuned) + "\n".join(report_comments) + "\n"
     if config.out is not None:
         Path(config.out).write_text(report, encoding="utf-8")
         print(f"calibrate: tuned parameters -> {config.out}")
@@ -249,9 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-run pi timing at every candidate when duration is not free",
     )
-    p_cal.add_argument("--window", type=float, default=0.005, help="relative search window")
-    p_cal.add_argument("--max-evals", type=int, default=2000, help="objective evaluation budget")
-    p_cal.add_argument("--tol", type=float, default=1e-6, help="objective convergence tolerance")
+    p_cal.add_argument("--window", type=float, default=SearchSpec.rel_window,
+                       help="relative search window")
+    p_cal.add_argument("--max-evals", type=int, default=SearchSpec.max_evaluations,
+                       help="objective evaluation budget")
+    p_cal.add_argument("--tol", type=float, default=SearchSpec.objective_tol,
+                       help="objective convergence tolerance")
 
     p_sweep = sub.add_parser("sweep", help="grid scan of the pure-CN objective")
     _add_common(p_sweep, with_initial=False)
@@ -295,7 +296,8 @@ def main(argv=None) -> int:
         if args.command == "calibrate":
             return cmd_calibrate(config, args)
         return cmd_sweep(config, args)
-    except (ValueError, CalibrationError, OSError) as exc:  # ConfigError is a ValueError
+    # ConfigError is a ValueError, CalibrationError a RuntimeError
+    except (ValueError, RuntimeError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

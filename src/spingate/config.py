@@ -32,8 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import QState, check_param, digital_state, superposition_state
-from .propagator import check_resonance
+from .core import QState, check_param, check_resonance, digital_state, superposition_state
 
 __all__ = [
     "ConfigError",
@@ -106,13 +105,14 @@ class RunConfig:
     _state: QState | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # all of them named at once, before carrier is derived from omega2 and coupling_j
+        missing = [key for key in _REQUIRED_KEYS if getattr(self, key) is None]
+        if missing:
+            raise ConfigError(f"missing required key(s): {', '.join(missing)}", key=missing[0])
         for key in _ALL_KEYS:
             value = getattr(self, key)
             if key in _AUTO_KEYS and value == "auto":
                 value = None
-            if value is None and key in _REQUIRED_KEYS:
-                # omega2 and coupling_j come before carrier, which is derived from them
-                raise ConfigError(f"missing required key(s): {key}", key=key)
             if key == "carrier" and value is None:
                 value = self.omega2 - self.coupling_j
             if value is not None and key != "out":
@@ -177,7 +177,7 @@ def _load(base: Mapping, text: str, flags: Mapping[str, object]) -> RunConfig:
     and an error there names the line that last assigned the key at fault.
     A flag value of None means the flag was not given; a flag value is
     checked like a config value but names no line in its errors, and
-    neither does a key whose value was 'auto'.
+    neither does a carrier or duration whose value was 'auto'.
     """
     values = dict(base)
     lines: dict[str, int] = {}  # the line of each key's last assignment in the text
@@ -198,13 +198,10 @@ def _load(base: Mapping, text: str, flags: Mapping[str, object]) -> RunConfig:
         if override is not None:
             values[key] = _assignment(key, override)
             lines.pop(key, None)
-    missing = [key for key in _REQUIRED_KEYS if key not in values]
-    if missing:
-        raise ConfigError(f"missing required key(s): {', '.join(missing)}")
     try:
-        return RunConfig(**{"carrier": None, **values})
+        return RunConfig(**{**dict.fromkeys(_REQUIRED_KEYS), "carrier": None, **values})
     except ConfigError as exc:
-        if exc.key not in lines or values[exc.key] == "auto":
+        if exc.key not in lines or (exc.key in _AUTO_KEYS and values[exc.key] == "auto"):
             raise
         raise ConfigError(str(exc), lines[exc.key], exc.key) from None
 

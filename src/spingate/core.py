@@ -27,6 +27,7 @@ __all__ = [
     "superposition_state",
     "wrap_angle",
     "check_param",
+    "check_resonance",
     "ResonanceError",
     "GcnPatternError",
     "CalibrationError",
@@ -37,6 +38,9 @@ BASIS_INDEX = {label: i for i, label in enumerate(BASIS_LABELS)}
 
 #: default tolerance on | ||amps||^2 - 1 | for states accepted as physical
 NORM_TOL = 1e-9
+
+#: relative tolerance for the carrier == omega2 - J resonance condition
+RESONANCE_RTOL = 1e-12
 
 
 class ResonanceError(ValueError):
@@ -53,8 +57,7 @@ class GcnPatternError(ValueError):
     Attributes
     ----------
     max_leak : float
-        Largest modulus found outside the pattern (or the deficit of a
-        patterned entry, whichever triggered the rejection).
+        Largest modulus found outside the pattern.
     indices : tuple[int, int]
         Matrix indices of the offending entry.
     """
@@ -97,6 +100,16 @@ def check_param(name: str, value) -> None:
     if not test(value):
         got = repr(value) if name == "frame" else str(value)
         raise ValueError(f"{name} {requirement}, got {got}")
+
+
+def check_resonance(omega2: float, coupling_j: float, carrier: float) -> None:
+    """Raise `ResonanceError` unless the carrier is omega2 - J to `RESONANCE_RTOL`."""
+    resonant = omega2 - coupling_j
+    if abs(carrier - resonant) > RESONANCE_RTOL * max(1.0, abs(resonant)):
+        raise ResonanceError(
+            f"carrier {carrier!r} is off resonance: the constant-coefficient "
+            f"rotating-frame equations require omega = omega2 - J = {resonant!r}"
+        )
 
 
 def wrap_angle(phi: float) -> float:

@@ -124,7 +124,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--frame", "lab", "frame must be 'raw' or 'primed', got 'lab'"),
-         ("--sample-dt", "fast", "cannot parse 'fast' for key 'sample_dt' as a number")],
+         ("--sample-dt", "fast", "cannot parse 'fast' for key 'sample_dt' as a number"),
+         ("--frame", "", "empty value for key 'frame'")],
     )
     def test_bad_config_flag_exits_1_without_usage(self, tmp_path, capsys, flag, value, message):
         # a config-key flag is checked like its config line: exit 1, not argparse's exit 2
@@ -147,6 +148,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: sample_dt must be positive and finite")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_memory_error_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        # as numpy raises when a tiny --sample-dt asks for a grid too large to allocate
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 234. GiB")
+
+        monkeypatch.setattr(Generator, "timeseries", unallocatable)
+        out = tmp_path / "x.csv"
+        code = run_cli("simulate", "--preset", "params12", "--initial", "digital:11",
+                       "--sample-dt", "1e-9", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 234. GiB\n"
         assert not out.exists()
 
     def test_unknown_preset_fails(self, tmp_path):
@@ -285,6 +299,15 @@ class TestCalibrate:
         assert tuned.duration == pytest.approx(np.pi / 0.1, abs=1e-3)
         values, _ = read_report(out)
         assert float(values["transfer_at_pi_duration"]) >= 0.999
+
+    def test_pi_duration_report_without_out_goes_to_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("calibrate", "--preset", "params12", "--pi-duration") == 0
+        status, report = capsys.readouterr().out.split("\n", 1)
+        assert status.startswith("calibrate: pi-pulse duration = ")
+        assert report.splitlines()[-1].startswith("# transfer_at_pi_duration = ")
+        assert parse_config(report).duration == pytest.approx(np.pi / 0.1, abs=1e-3)
+        assert list(tmp_path.iterdir()) == []
 
     def test_pure_cn_three_parameter_search(self, tmp_path):
         out = tmp_path / "pure.cfg"
@@ -499,6 +522,29 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"error: {message}\n" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid", [("--min", "1", "--max", "1"), ("--min", "0", "--max", "1", "--steps", "1")],
+        ids=["empty-range", "one-step"],
+    )
+    def test_degenerate_grid_fails_cleanly(self, tmp_path, capsys, grid):
+        out = tmp_path / "sweep.csv"
+        code = run_cli("sweep", "--preset", "params12", "--param", "a1", *grid, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == "error: sweep needs --min < --max and --steps >= 2\n"
+        assert not out.exists()
+
+    def test_overflowing_duration_fails_cleanly(self, tmp_path, capsys):
+        # the gate's phases overflow to nan, which its unitarity guard rejects
+        out = tmp_path / "sweep.csv"
+        with pytest.warns(RuntimeWarning):
+            code = run_cli(
+                "sweep", "--preset", "params24", "--param", "duration",
+                "--min", "0", "--max", "1e308", "--steps", "2", "--out", str(out),
+            )
+        assert code == 1
+        assert capsys.readouterr().err == "error: gate at tau=1e+308 is not unitary (defect nan)\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")

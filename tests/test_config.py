@@ -61,6 +61,10 @@ class TestParseConfig:
     def test_missing_required_keys_named(self):
         with pytest.raises(ConfigError, match="coupling_j"):
             parse_config("omega1 = 500\nomega2 = 100\na1 = 0.5\na2 = 0.1\n")
+        # every missing key in one message, tied to no line; the first is the error's key
+        with pytest.raises(ConfigError, match=r"^missing required key\(s\): omega2, a1$") as info:
+            parse_config("omega1 = 500\ncoupling_j = 5\na2 = 0.1\n")
+        assert info.value.key == "omega2" and info.value.line is None
 
     def test_later_assignment_wins(self):
         config = parse_config(GOOD + "a2 = 0.2\n")
@@ -110,7 +114,15 @@ class TestParseConfig:
          ("a2 = 0.1", "a2 = inf", "line 7: a2 must be >= 0, got inf"),
          ("duration = auto", "duration = -1", "line 8: duration must be finite and >= 0"),
          ("frame = primed", "frame = lab", "line 10: frame must be 'raw' or 'primed'"),
-         ("sample_dt = 0.05", "sample_dt = 0", "line 11: sample_dt must be positive")],
+         ("sample_dt = 0.05", "sample_dt = 0", "line 11: sample_dt must be positive"),
+         # 'auto' is a value only for carrier and duration; for any other key it is bad text
+         ("omega1 = 500", "omega1 = auto", "line 2: cannot parse 'auto' for key 'omega1' as a "
+          "number$"),
+         ("sample_dt = 0.05", "sample_dt = auto", "line 11: cannot parse 'auto' for key "
+          "'sample_dt' as a number$"),
+         ("a1 = 0.5", "a1 =", "line 6: empty value for key 'a1'$"),
+         ("initial = digital:11", "initial = 1,2,x,4", "line 9: cannot parse complex "
+          "amplitudes in '1,2,x,4'$")],
     )
     def test_range_error_names_its_line(self, good, bad, message):
         with pytest.raises(ConfigError, match=f"^{message}") as info:
@@ -170,17 +182,19 @@ class TestOnePath:
         assert config.carrier == 95.0 and config.sample_dt == 0.5
 
     @pytest.mark.parametrize(
-        "args, key",
+        "args, missing",
         [
             ((None, 100.0, 5.0, None, 0.5, 0.1), "omega1"),
             ((500.0, None, 5.0, None, 0.5, 0.1), "omega2"),
+            ((None, 100.0, 5.0, None, "fast", None), "omega1, a2"),
         ],
-        ids=["omega1", "omega2_before_carrier"],
+        ids=["omega1", "omega2_before_carrier", "all_named_before_any_value_check"],
     )
-    def test_none_for_required_key_rejected(self, args, key):
-        with pytest.raises(ConfigError, match=rf"^missing required key\(s\): {key}$") as excinfo:
+    def test_none_for_required_key_rejected(self, args, missing):
+        message = rf"^missing required key\(s\): {missing}$"
+        with pytest.raises(ConfigError, match=message) as excinfo:
             RunConfig(*args)
-        assert excinfo.value.key == key
+        assert excinfo.value.key == missing.split(",")[0]
 
 
 class TestInitialState:

@@ -119,6 +119,15 @@ class TestQState:
         with pytest.raises(ValueError):
             state.amps[0] = 0.0
 
+    @pytest.mark.parametrize(
+        "amps, message",
+        [([1, 0, 0], r"^need exactly 4 amplitudes, got shape \(3,\)$"),
+         ([np.nan, 0, 0, 0], "^amplitudes must be finite$")],
+    )
+    def test_malformed_amplitudes_rejected(self, amps, message):
+        with pytest.raises(ValueError, match=message):
+            QState(amps)
+
     def test_component_accessors(self):
         state = superposition_state(EQ21_AMPS)
         assert state.c00 == complex(EQ21_AMPS[0])
@@ -156,6 +165,10 @@ class TestTimeSeries:
         amps = np.tile([1, 0, 0, 0], (2, 1)).astype(complex)
         with pytest.raises(ValueError, match="times and amplitudes must be finite"):
             TimeSeries(t=t, amps=amps, frame="raw")
+
+    def test_row_count_must_match_times(self):
+        with pytest.raises(ValueError, match="^inconsistent row shapes$"):
+            TimeSeries([0.0, 1.0], np.zeros((3, 4)), "raw")
 
     def test_strictly_increasing_required(self):
         t = np.array([0.0, 1.0, 1.0])

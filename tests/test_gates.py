@@ -132,6 +132,25 @@ class TestExtractGcnPhases:
         assert err.indices == (2, 2)
         assert err.max_leak == pytest.approx(1.0)
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^gate must be 4x4, got \(3, 3\)$"):
+            extract_gcn_phases(np.eye(3))
+
+    def test_patterned_deficit_always_leaks_past_tolerance(self):
+        # a column of a gate unitary to 1e-6 has norm^2 >= 1 - 1e-6; with its patterned
+        # entry below 1 - GCN_LEAK_TOL, its three off-pattern entries share the rest
+        floor = np.sqrt((1.0 - 1e-6 - (1.0 - GCN_LEAK_TOL) ** 2) / 3.0)
+        assert floor > GCN_LEAK_TOL
+        # so the leak check alone rejects such a gate, with an off-pattern entry
+        delta = np.arccos(1.0 - 1.5 * GCN_LEAK_TOL)
+        g = cn_matrix()
+        g[2, 2] = g[3, 3] = np.sin(delta)
+        g[2, 3], g[3, 2] = np.cos(delta), -np.cos(delta)
+        with pytest.raises(GcnPatternError) as excinfo:
+            extract_gcn_phases(g)
+        assert excinfo.value.indices not in GCN_PATTERN
+        assert excinfo.value.max_leak >= floor
+
     def test_small_leak_within_tolerance_accepted(self):
         delta = 5e-3
         g = cn_matrix()

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spingate.propagator
 from spingate import (
     Generator,
     PulseSpec,
@@ -22,6 +23,7 @@ from spingate import (
     tomography,
 )
 from spingate.config import EQ21_AMPS
+from spingate.core import check_param
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +304,75 @@ class TestSpectralKernel:
         assert len(eigh_calls) == 1
 
 
+_EDGES = (0.0, -0.0, -1.0, 1e-300, 1e308, np.inf, -np.inf, np.nan)
+_POINT12 = {"omega1": 500.0, "omega2": 100.0, "coupling_j": 5.0, "a1": 0.5, "a2": 0.1}
+
+
+def _first_error(*calls) -> str | None:
+    """The message of the first call that raises a ValueError or RuntimeError, or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in calls:
+            try:
+                call()
+            except (ValueError, RuntimeError) as exc:
+                return str(exc)
+    return None
+
+
+class TestInlineRangeChecks:
+    """`Generator` and `gate` restate core's range rules as comparison chains, for speed.
+
+    At each edge value a chain must fail exactly when some `check_param` raises:
+    then the `check_param` calls after it raise the same message.  A chain that
+    failed on values the rules accept would go on silently, so the calls are
+    recorded.  An in-range value may still fail only for the reasons named here.
+    """
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+
+        def recorded(name, value):
+            calls.append(name)
+            check_param(name, value)
+
+        monkeypatch.setattr(spingate.propagator, "check_param", recorded)
+        return calls
+
+    @pytest.mark.parametrize("value", _EDGES)
+    @pytest.mark.parametrize("name", list(_POINT12))
+    def test_generator_chain_matches_check_param(self, fallbacks, name, value):
+        expected = _first_error(lambda: check_param(name, value))
+        got = _first_error(lambda: Generator(**{**_POINT12, name: value}))
+        if expected is None:
+            assert fallbacks == []
+            # 1e308 for omega1 or coupling_j overflows a detuning of B
+            assert got in (None, "generator contains non-finite entries")
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("frame", ["raw", "primed", "lab", "", "Raw"])
+    @pytest.mark.parametrize("tau", _EDGES)
+    def test_gate_chain_matches_check_param(self, gen12, fallbacks, tau, frame):
+        expected = _first_error(
+            lambda: check_param("duration", tau), lambda: check_param("frame", frame)
+        )
+        got = _first_error(lambda: gen12.gate(tau, frame))
+        if expected is None:
+            assert fallbacks == []
+            # at tau = 1e308 the phases lam * tau / 2 overflow
+            assert got in (None, "gate at tau=1e+308 is not unitary (defect nan)")
+        else:
+            assert got == expected
+
+
 class TestUnitarityGuard:
+    def test_overflowing_phases_raise_instead_of_returning_nan(self, gen12):
+        # every phase factor is nan, and the guard's comparison has to fail for a nan defect
+        message = r"^gate at tau=1e\+308 is not unitary \(defect nan\)$"
+        with pytest.warns(RuntimeWarning), pytest.raises(RuntimeError, match=message):
+            gen12.gate(1e308)
+
     def test_skewed_eigenvectors_raise_with_the_defect(self, monkeypatch, tau12):
         original = np.linalg.eigh
 

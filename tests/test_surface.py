@@ -1,6 +1,7 @@
 """The public surface is pinned: a new export or setting comes with an edit here."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import re
@@ -86,17 +87,61 @@ def test_no_private_name_crosses_modules():
     assert crossing == []
 
 
+def _package_sources() -> dict[str, str]:
+    return {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(Path(spingate.__file__).parent.glob("*.py"))
+    }
+
+
 def test_range_rules_are_stated_only_in_core():
     names = ("omega1", "omega2", "coupling_j", "carrier", "a1", "a2", "duration", "sample_dt",
              "frame")
-    pattern = re.compile(rf"\b({'|'.join(names)}) must be")
+    # the resonance rule too: its tolerance, its check and its message
+    pattern = re.compile(
+        rf"\b({'|'.join(names)}) must be|RESONANCE_RTOL|def check_resonance|is off resonance"
+    )
     stated = [
-        f"{path.name}: {match.group(0)}"
-        for path in sorted(Path(spingate.__file__).parent.glob("*.py"))
-        if path.name != "core.py"
-        for match in pattern.finditer(path.read_text(encoding="utf-8"))
+        f"{name}: {match.group(0)}"
+        for name, text in _package_sources().items()
+        if name != "core.py"
+        for match in pattern.finditer(text)
     ]
     assert stated == []
+
+
+def test_config_imports_only_from_core():
+    tree = ast.parse(_package_sources()["config.py"])
+    package_imports = [
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+    assert package_imports == ["core"]
+    assert not [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.startswith("spingate")
+    ]
+
+
+def test_each_remaining_rule_is_stated_once():
+    sources = _package_sources()
+    # RunConfig alone names the missing required keys
+    assert sum(text.count("missing required key(s)") for text in sources.values()) == 1
+    # extract_gcn_phases has one pattern check
+    assert sources["gates.py"].count("raise GcnPatternError(") == 1
+
+
+def test_cli_search_defaults_are_search_spec_defaults():
+    defaults = {f.name: f.default for f in dataclasses.fields(SearchSpec)}
+    expected = (defaults["rel_window"], defaults["max_evaluations"], defaults["objective_tol"])
+    args = spingate.cli.build_parser().parse_args(["calibrate", "--pure-cn"])
+    assert (args.window, args.max_evals, args.tol) == expected
+    # read from SearchSpec, not restated in the CLI's source
+    constants = {
+        node.value for node in ast.walk(ast.parse(_package_sources()["cli.py"]))
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+    }
+    assert not constants & set(expected)
 
 
 def test_cli_import_loads_no_test_or_oracle_dependency():
