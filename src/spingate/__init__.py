@@ -9,7 +9,6 @@ parameters for the phase-aligned ("pure") controlled-NOT point.
 
 from .core import (
     BASIS_INDEX,
-    BASIS_LABELS,
     CalibrationError,
     GcnPatternError,
     GcnPhases,
@@ -17,7 +16,6 @@ from .core import (
     QState,
     ResonanceError,
     SystemParams,
-    TimeSeries,
     digital_state,
     superposition_state,
 )
@@ -42,13 +40,7 @@ from .calibrate import (
     tune_pure_cn,
 )
 from .config import (
-    EQ21_AMPS,
-    PARAMS24_DURATION,
-    PRESETS,
     ConfigError,
-    RunConfig,
-    emit_config,
-    initial_state,
     parse_config,
 )
 
@@ -56,33 +48,25 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASIS_INDEX",
-    "BASIS_LABELS",
     "CalibrationError",
     "ConfigError",
-    "EQ21_AMPS",
     "GcnPatternError",
     "GcnPhases",
     "Generator",
-    "PARAMS24_DURATION",
-    "PRESETS",
     "PulseSpec",
     "QState",
     "ResonanceError",
-    "RunConfig",
     "SearchSpec",
     "SystemParams",
-    "TimeSeries",
     "build_generator",
     "calibrate_pi_duration",
     "cn_matrix",
     "digital_state",
-    "emit_config",
     "evolve_rk4",
     "extract_gcn_phases",
     "frame_phase_factors",
     "gate_fidelity",
     "gcn_matrix",
-    "initial_state",
     "parse_config",
     "pure_cn_objective",
     "run_timeseries",

@@ -78,8 +78,9 @@ class SearchSpec:
         Enforce a1 = a2 * omega1 / omega2 at every evaluation (one drive
         coil, amplitudes proportional to the spin frequencies).
     recalibrate_duration
-        When 'duration' is not free, re-run pi-pulse timing calibration at
-        every candidate point instead of keeping the starting duration.
+        Re-run pi-pulse timing calibration at every candidate point instead
+        of keeping the starting duration.  Needs 'duration' left out of
+        `free`: a searched duration cannot also be re-timed.
     max_evaluations
         Budget of objective evaluations (duration recalibrations not
         counted).  A point the search revisits counts again, though its
@@ -103,6 +104,8 @@ class SearchSpec:
             raise ValueError(f"unknown free parameters {sorted(bad)}; choose from {_FREE_ORDER}")
         if not free:
             raise ValueError("at least one free parameter is required")
+        if self.recalibrate_duration and "duration" in free:
+            raise ValueError("recalibrate_duration needs 'duration' left out of free")
         object.__setattr__(self, "free", free)
         if not 0.0 < self.rel_window < np.inf:
             raise ValueError(
@@ -165,7 +168,6 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     windows = [float(spec.rel_window) * abs(center[n]) for n in spec.free]
     centers = [center[n] for n in spec.free]
     omega2, coupling_j = params.omega2, params.coupling_j
-    recalibrate = spec.recalibrate_duration and "duration" not in spec.free
     # a point's free coordinates, then the fixed ones: `pick` reads omega1, a2, duration off them
     order = spec.free + tuple(n for n in _FREE_ORDER if n not in spec.free)
     fixed = tuple(center[n] for n in order[len(spec.free):])
@@ -191,7 +193,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         omega1, a2, duration = pick(point + fixed)
         a1 = a2 * omega1 / omega2 if spec.tie_a1 else pulse.a1
         gen = Generator(omega1, omega2, coupling_j, a1, a2)
-        if recalibrate:
+        if spec.recalibrate_duration:
             duration = gen.pi_duration()
         value = scored[point] = gen.objective(duration)
         evaluations += 1

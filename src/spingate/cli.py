@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument(
         "--recalibrate-duration",
         action="store_true",
-        help="re-run pi timing at every candidate when duration is not free",
+        help="re-run pi timing at every candidate; leave duration out of --free",
     )
     p_cal.add_argument("--window", type=float, default=SearchSpec.rel_window,
                        help="relative search window")

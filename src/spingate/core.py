@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "BASIS_LABELS",
     "BASIS_INDEX",
-    "NORM_TOL",
     "SystemParams",
     "PulseSpec",
     "QState",
@@ -260,9 +259,6 @@ class GcnPhases:
     dphi01: float
     dphi10: float
     dphi11: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.dphi00, self.dphi01, self.dphi10, self.dphi11)
 
 
 @dataclass(frozen=True)

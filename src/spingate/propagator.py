@@ -39,8 +39,8 @@ __all__ = [
     "run_timeseries",
 ]
 
-#: max-norm unitarity tolerance for gates read off the eigensystem
-TOMOGRAPHY_UNITARITY_TOL = 1e-8
+#: max-norm unitarity tolerance of every `Generator.gate`: tomography, search and sweep gates
+GATE_UNITARITY_TOL = 1e-8
 
 #: pi-timing search interval and final bracket width, in units of pi / a2
 _PI_BRACKET = (0.8, 1.2)
@@ -121,7 +121,7 @@ class Generator:
             check_param("frame", frame)
         gate = (self.v * np.exp(0.5j * self.lam * tau)) @ self.v.T
         defect = np.abs(gate.conj().T @ gate - _EYE4).max()
-        if not defect <= TOMOGRAPHY_UNITARITY_TOL:  # also a nan defect, from overflowed phases
+        if not defect <= GATE_UNITARITY_TOL:  # also a nan defect, from overflowed phases
             raise RuntimeError(f"gate at tau={tau!r} is not unitary (defect {defect:.3e})")
         if frame == "primed":
             gate = frame_phase_factors(self, tau)[:, None] * gate

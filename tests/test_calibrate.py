@@ -145,6 +145,12 @@ class TestSearchSpec:
         with pytest.raises(ValueError, match="max_evaluations must be an integer >= 1"):
             SearchSpec(free=("a2",), max_evaluations=budget)
 
+    @pytest.mark.parametrize("free", [("duration",), ("omega1", "a2", "duration")])
+    def test_recalibrating_a_free_duration_rejected(self, free):
+        # a searched duration would be overwritten by the pi timing at every point
+        with pytest.raises(ValueError, match="recalibrate_duration needs 'duration' left out"):
+            SearchSpec(free=free, recalibrate_duration=True)
+
 
 class TestTunePureCn:
     def test_three_parameter_search_finds_pure_point(self, params12, pulse12):

@@ -8,12 +8,12 @@ from spingate import (
     Generator,
     PulseSpec,
     SystemParams,
-    TimeSeries,
     calibrate_pi_duration,
     superposition_state,
 )
 from spingate.cli import CSV_HEADER, main, write_timeseries_csv
 from spingate.config import PARAMS24_DURATION, parse_config
+from spingate.core import TimeSeries
 
 
 def run_cli(*argv) -> int:
@@ -360,21 +360,32 @@ class TestCalibrate:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "flag, value, field",
-        [("--tol", "nan", "objective_tol"), ("--tol", "inf", "objective_tol"),
-         ("--window", "nan", "search window for a2"),
-         ("--window", "inf", "search window for a2"),
-         ("--tol", "-inf", "objective_tol"), ("--window", "-nan", "search window for a2")],
+        "flags, message",
+        [(("--tol", "nan"), "objective_tol must be positive and finite"),
+         (("--tol", "inf"), "objective_tol must be positive and finite"),
+         (("--window", "nan"), "search window for a2 must be positive and finite"),
+         (("--window", "inf"), "search window for a2 must be positive and finite"),
+         (("--tol", "-inf"), "objective_tol must be positive and finite"),
+         (("--window", "-nan"), "search window for a2 must be positive and finite"),
+         # not a non-finite value, but also a setting the search cannot honour: a free
+         # duration is searched, so re-timing it at every point would do nothing
+         (("--free", "omega1,a2,duration", "--recalibrate-duration"),
+          "recalibrate_duration needs 'duration' left out of free")],
+        ids=["--tol-nan-objective_tol", "--tol-inf-objective_tol",
+             "--window-nan-search window for a2", "--window-inf-search window for a2",
+             "--tol--inf-objective_tol", "--window--nan-search window for a2",
+             "recalibrate-free-duration"],
     )
-    def test_nonfinite_search_settings_fail_cleanly(self, tmp_path, capsys, flag, value, field):
+    def test_nonfinite_search_settings_fail_cleanly(self, tmp_path, capsys, flags, message):
         out = tmp_path / "bad.cfg"
         code = run_cli(
             "calibrate", "--preset", "params12", "--pure-cn", "--free", "a2",
-            "--max-evals", "30", flag, value, "--out", str(out),
+            "--max-evals", "30", *flags, "--out", str(out),
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {field} must be positive and finite")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
 

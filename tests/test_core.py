@@ -6,16 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spingate import (
-    BASIS_LABELS,
     PulseSpec,
     QState,
     SystemParams,
-    TimeSeries,
     digital_state,
     superposition_state,
 )
 from spingate.config import EQ21_AMPS
-from spingate.core import wrap_angle
+from spingate.core import BASIS_LABELS, TimeSeries, wrap_angle
 
 
 class TestSystemParams:
