@@ -209,31 +209,27 @@ def cmd_sweep(config: RunConfig, args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_initial: bool = True):
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--preset", help=f"named parameter set ({', '.join(sorted(PRESETS))})")
-    parser.add_argument("--frame", help="amplitude frame (raw or primed)")
-    parser.add_argument("--out", help="output path")
-    if with_initial:
-        parser.add_argument("--initial", help="digital:<ik>, eq21, or 4 complex amplitudes")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spingate",
         description="Two-spin Ising controlled-NOT pulse simulator and calibrator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_sim = sub.add_parser("simulate", help="sample amplitude evolution to CSV")
-    _add_common(p_sim)
+    p_tomo = sub.add_parser("tomography", help="reconstruct the gate and extract phases")
+    p_cal = sub.add_parser("calibrate", help="pi-pulse timing and pure-CN parameter search")
+    p_sweep = sub.add_parser("sweep", help="grid scan of the pure-CN objective")
+    for p in (p_sim, p_tomo, p_cal, p_sweep):
+        p.add_argument("--config", help="path to a key = value config file")
+        p.add_argument("--preset", help=f"named parameter set ({', '.join(sorted(PRESETS))})")
+        p.add_argument("--out", help="output path")
+    # sweep scores the raw-frame objective whatever the frame, so it takes no --frame
+    for p in (p_sim, p_tomo, p_cal):
+        p.add_argument("--frame", help="amplitude frame (raw or primed)")
+
+    p_sim.add_argument("--initial", help="digital:<ik>, eq21, or 4 complex amplitudes")
     p_sim.add_argument("--sample-dt", dest="sample_dt", help="sampling step")
 
-    p_tomo = sub.add_parser("tomography", help="reconstruct the gate and extract phases")
-    _add_common(p_tomo, with_initial=False)
-
-    p_cal = sub.add_parser("calibrate", help="pi-pulse timing and pure-CN parameter search")
-    _add_common(p_cal, with_initial=False)
     p_cal.add_argument("--pi-duration", action="store_true", help="calibrate pi-pulse duration")
     p_cal.add_argument("--pure-cn", action="store_true", help="run the pure-CN search")
     p_cal.add_argument(
@@ -254,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--tol", type=float, default=SearchSpec.objective_tol,
                        help="objective convergence tolerance")
 
-    p_sweep = sub.add_parser("sweep", help="grid scan of the pure-CN objective")
-    _add_common(p_sweep, with_initial=False)
     p_sweep.add_argument("--param", required=True, help=f"one of {', '.join(_SWEEPABLE)}")
     p_sweep.add_argument("--min", type=float, required=True)
     p_sweep.add_argument("--max", type=float, required=True)

@@ -115,7 +115,7 @@ class RunConfig:
                 value = None
             if key == "carrier" and value is None:
                 value = self.omega2 - self.coupling_j
-            if value is not None and key != "out":
+            if value is not None:
                 try:
                     value = self._checked(key, value)
                 except ValueError as exc:

@@ -86,18 +86,23 @@ _RULES = {
     "duration": (_nonnegative, "must be finite and >= 0"),
     "sample_dt": (_positive, "must be positive and finite"),
     "frame": (lambda x: x in ("raw", "primed"), "must be 'raw' or 'primed'"),
+    # what a config line can hold, so an emitted config reloads the same path
+    "out": (
+        lambda x: "#" not in x and x.splitlines() == [x] and x == x.strip(),
+        "must be one line with no '#' and no surrounding whitespace",
+    ),
 }
 
 
 def check_param(name: str, value) -> None:
     """Raise `ValueError` unless `value` meets the range rule of `name`.
 
-    The message reads "<name> <requirement>, got <value>"; numbers print
-    with str(), so a numpy scalar prints as a plain number.
+    The message reads "<name> <requirement>, got <value>"; text prints with
+    repr(), numbers with str(), so a numpy scalar prints as a plain number.
     """
     test, requirement = _RULES[name]
     if not test(value):
-        got = repr(value) if name == "frame" else str(value)
+        got = repr(value) if isinstance(value, str) else str(value)
         raise ValueError(f"{name} {requirement}, got {got}")
 
 
@@ -265,29 +270,22 @@ class GcnPhases:
 class TimeSeries:
     """Sampled amplitude trajectory: times, amplitudes, squared norms.
 
-    `frame` records whether the rows are rotating-frame amplitudes ('raw')
-    or have the residual free-evolution phases stripped ('primed').  `norm`
-    is derived: each row's sum of |c|^2, computed here from `amps`.
+    `norm` is derived: each row's sum of |c|^2, computed here from `amps`.
     """
 
     t: np.ndarray
     amps: np.ndarray
-    frame: str
     norm: np.ndarray = field(init=False)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         amps = np.asarray(self.amps, dtype=complex)
-        check_param("frame", self.frame)
         if t.ndim != 1 or amps.shape != (t.size, 4):
             raise ValueError("inconsistent row shapes")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(amps))):
             raise ValueError("times and amplitudes must be finite")
         if np.any(np.diff(t) <= 0):
-            # a zero-length pulse is sampled as two identical rows at t = 0
-            degenerate = t.size == 2 and t[0] == t[1] and np.array_equal(amps[0], amps[1])
-            if not degenerate:
-                raise ValueError("times must be strictly increasing")
+            raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "norm", np.sum(np.abs(amps) ** 2, axis=1))

@@ -213,7 +213,7 @@ class Generator:
         amps = (self.v @ (np.exp(0.5j * np.outer(self.lam, ts)) * proj[:, None])).T
         if frame == "primed":
             amps = amps * frame_phase_factors(self, ts[:, None])
-        return TimeSeries(t=ts, amps=amps, frame=frame)
+        return TimeSeries(t=ts, amps=amps)
 
 
 def _transfer_probe(lam: np.ndarray, v: np.ndarray):
@@ -299,11 +299,9 @@ def _sample_grid(duration: float, sample_dt: float) -> np.ndarray:
     """Times 0, dt, 2dt, ... plus the pulse end, which is always the last row.
 
     A grid point within rounding of the end (as when `sample_dt` divides
-    the duration exactly) is the end, not a separate interior row.  A
-    zero-length pulse yields the degenerate two-row grid [0, 0].
+    the duration exactly) is the end, not a separate interior row, so a
+    zero-length pulse is the one row t = 0.
     """
-    if duration == 0.0:
-        return np.array([0.0, 0.0])
     # k * sample_dt carries a relative rounding error of a few ulp, which
     # for many samples exceeds any fixed tolerance in units of sample_dt.
     end_tol = max(1e-12 * sample_dt, 4.0 * np.spacing(duration))

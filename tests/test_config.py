@@ -325,12 +325,19 @@ class TestRoundTrip:
         a1=st.floats(0.0, 1e3),
         a2=st.floats(0.0, 1e3),
         duration=st.none() | st.floats(0.0, 1e4),
+        # any text, '#', line breaks and edge whitespace included
+        out=st.none() | st.text(),
     )
     @settings(max_examples=200, deadline=None)
     def test_round_trip_near_resonance(self, omega1, omega2, j_fraction, offset, a1, a2,
-                                       duration):
+                                       duration, out):
         omega2, coupling_j, carrier = self._point(omega2, j_fraction, offset)
-        config = RunConfig(omega1, omega2, coupling_j, carrier, a1, a2, duration)
+        try:
+            config = RunConfig(omega1, omega2, coupling_j, carrier, a1, a2, duration, out=out)
+        except ConfigError as exc:
+            # the numbers are all in range: only an out value no config line can hold is refused
+            assert exc.key == "out"
+            return
         assert config.carrier == carrier
         assert parse_config(emit_config(config)) == config
 

@@ -148,42 +148,35 @@ class TestTimeSeries:
     def test_norm_column_derived_from_amplitudes(self):
         t = np.array([0.0, 1.0])
         amps = np.array([[1, 0, 0, 0], [0.6, 0.8j, 0, 0.5]], dtype=complex)
-        series = TimeSeries(t=t, amps=amps, frame="raw")
+        series = TimeSeries(t=t, amps=amps)
         assert np.array_equal(series.norm, np.sum(np.abs(amps) ** 2, axis=1))
 
     def test_nan_rows_rejected(self):
         t = np.array([0.0, 1.0])
         amps = np.full((2, 4), np.nan, dtype=complex)
         with pytest.raises(ValueError, match="times and amplitudes must be finite"):
-            TimeSeries(t=t, amps=amps, frame="raw")
+            TimeSeries(t=t, amps=amps)
 
     def test_nan_times_rejected(self):
         # a nan time passes the ordering check: nan <= 0 is False
         t = np.array([0.0, np.nan])
         amps = np.tile([1, 0, 0, 0], (2, 1)).astype(complex)
         with pytest.raises(ValueError, match="times and amplitudes must be finite"):
-            TimeSeries(t=t, amps=amps, frame="raw")
+            TimeSeries(t=t, amps=amps)
 
     def test_row_count_must_match_times(self):
         with pytest.raises(ValueError, match="^inconsistent row shapes$"):
-            TimeSeries([0.0, 1.0], np.zeros((3, 4)), "raw")
+            TimeSeries([0.0, 1.0], np.zeros((3, 4)))
 
     def test_strictly_increasing_required(self):
         t = np.array([0.0, 1.0, 1.0])
         amps = np.tile([1, 0, 0, 0], (3, 1)).astype(complex)
         with pytest.raises(ValueError, match="strictly increasing"):
-            TimeSeries(t=t, amps=amps, frame="raw")
+            TimeSeries(t=t, amps=amps)
 
-    def test_degenerate_zero_duration_pair_allowed(self):
+    def test_zero_duration_pair_rejected(self):
+        # a zero-length pulse is sampled as the one row t = 0, so no pair is exempt
         t = np.zeros(2)
         amps = np.tile([1, 0, 0, 0], (2, 1)).astype(complex)
-        series = TimeSeries(t=t, amps=amps, frame="primed")
-        assert len(series) == 2
-
-    def test_bad_frame(self):
-        with pytest.raises(ValueError, match="frame"):
-            TimeSeries(
-                t=np.array([0.0]),
-                amps=np.array([[1, 0, 0, 0]], dtype=complex),
-                frame="lab",
-            )
+        with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+            TimeSeries(t=t, amps=amps)

@@ -48,7 +48,7 @@ def test_public_surface_is_pinned():
         ("omega1", empty), ("omega2", empty), ("coupling_j", empty), ("a1", empty), ("a2", empty),
     ]
     # norm is derived from amps, not passed in
-    assert _parameters(TimeSeries) == [("t", empty), ("amps", empty), ("frame", empty)]
+    assert _parameters(TimeSeries) == [("t", empty), ("amps", empty)]
     # one field per config key, in the order emit_config writes them
     assert _parameters(RunConfig) == [
         ("omega1", empty), ("omega2", empty), ("coupling_j", empty), ("carrier", empty),
