@@ -21,8 +21,8 @@ from spingate.cli import write_timeseries_csv
 OUT_DIR = Path("demo_output")
 OUT_DIR.mkdir(exist_ok=True)
 
-# one parameter point: omega1, omega2, J, a1, a2, diagonalized once
-gen = Generator(500.0, 100.0, 5.0, 0.5, 0.1)
+# one parameter point: omega1, omega2, J, carrier, a1, a2, diagonalized once
+gen = Generator(500.0, 100.0, 5.0, 95.0, 0.5, 0.1)
 print("system: omega1=500, omega2=100, J=5  ->  conditional line at", gen.omega2 - gen.coupling_j)
 
 tau = gen.pi_duration()

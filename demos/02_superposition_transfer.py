@@ -18,8 +18,9 @@ from spingate.config import EQ21_AMPS
 OUT_DIR = Path("demo_output")
 OUT_DIR.mkdir(exist_ok=True)
 
-# one parameter point (omega1=500, omega2=100, J=5, a1=0.5, a2=0.1), diagonalized once
-gen = Generator(500.0, 100.0, 5.0, 0.5, 0.1)
+# one parameter point (omega1=500, omega2=100, J=5, carrier=95, a1=0.5, a2=0.1),
+# diagonalized once
+gen = Generator(500.0, 100.0, 5.0, 95.0, 0.5, 0.1)
 tau = gen.pi_duration()
 
 initial = superposition_state(EQ21_AMPS)

@@ -15,8 +15,9 @@ import numpy as np
 
 from spingate import GcnPhases, Generator, cn_matrix, extract_gcn_phases, gate_fidelity, gcn_matrix
 
-# one parameter point (omega1=500, omega2=100, J=5, a1=0.5, a2=0.1), diagonalized once
-gen = Generator(500.0, 100.0, 5.0, 0.5, 0.1)
+# one parameter point (omega1=500, omega2=100, J=5, carrier=95, a1=0.5, a2=0.1),
+# diagonalized once
+gen = Generator(500.0, 100.0, 5.0, 95.0, 0.5, 0.1)
 gate = gen.gate(gen.pi_duration(), "primed")
 print("primed-frame gate (moduli):")
 with np.printoptions(precision=4, suppress=True):

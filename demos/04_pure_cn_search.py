@@ -64,7 +64,9 @@ print(f"    fidelity vs i*CN: {gate_fidelity(gate, 1j * cn_matrix()):.7f}")
 
 print("\n[3] the shipped tuned preset (params24) and its duration sensitivity")
 preset = RunConfig(**PRESETS["params24"])
-gen24 = Generator(preset.omega1, preset.omega2, preset.coupling_j, preset.a1, preset.a2)
+gen24 = Generator(
+    preset.omega1, preset.omega2, preset.coupling_j, preset.carrier, preset.a1, preset.a2
+)
 print(f"    omega1={preset.omega1}, a2={preset.a2}, a1=a2*omega1/omega2={preset.a1:.9f}")
 print(f"    stored duration: {PARAMS24_DURATION:.9f}")
 print(f"    objective at stored duration:   {gen24.objective(PARAMS24_DURATION):.2e}")

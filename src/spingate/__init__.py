@@ -1,10 +1,11 @@
 """Two-spin Ising controlled-NOT gate simulator and calibration toolkit.
 
 The package simulates the rotating-frame amplitude dynamics of two Ising
-coupled spins under a resonant rectangular pulse, reconstructs the two
-qubit gate the pulse implements, extracts the per-state phase shifts of
-the resulting phased controlled-NOT, and searches pulse and system
-parameters for the phase-aligned ("pure") controlled-NOT point.
+coupled spins under a rectangular pulse, on the conditional resonance or
+detuned from it, reconstructs the two qubit gate the pulse implements,
+extracts the per-state phase shifts of the resulting phased controlled-NOT,
+and searches pulse and system parameters for the phase-aligned ("pure")
+controlled-NOT point.
 """
 
 from .core import (
@@ -14,7 +15,6 @@ from .core import (
     GcnPhases,
     PulseSpec,
     QState,
-    ResonanceError,
     SystemParams,
     digital_state,
     superposition_state,
@@ -55,7 +55,6 @@ __all__ = [
     "Generator",
     "PulseSpec",
     "QState",
-    "ResonanceError",
     "SearchSpec",
     "SystemParams",
     "build_generator",

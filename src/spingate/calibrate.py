@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PulseSpec, SystemParams, check_resonance
+from .core import PulseSpec, SystemParams
 from .propagator import Generator, build_generator
 
 __all__ = [
@@ -44,8 +44,9 @@ _FREE_ORDER = ("omega1", "a2", "duration")
 def calibrate_pi_duration(params: SystemParams, pulse_template: PulseSpec) -> float:
     """Duration maximizing |c10(tau)|^2 for initial |11>: `Generator.pi_duration`.
 
-    Golden-section search on [0.8, 1.2] * (pi / a2) on one eigensystem of
-    B; the template's own duration is ignored.  Raises `CalibrationError`
+    Golden-section search on [0.8, 1.2] * pi / hypot(a2, delta) on one
+    eigensystem of B, with delta the carrier's detuning from omega2 - J; the
+    template's own duration is ignored.  Raises `CalibrationError`
     when there is no interior maximum, `ValueError` unless a2 > 0.
     """
     return build_generator(params, pulse_template).pi_duration()
@@ -163,11 +164,10 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     for name in spec.free:
         if center[name] == 0.0:
             raise ValueError(f"cannot search {name!r} from a starting value of 0")
-    # carrier, omega2 and J are the same at every point of the search
-    check_resonance(params.omega2, params.coupling_j, pulse.carrier)
     windows = [float(spec.rel_window) * abs(center[n]) for n in spec.free]
     centers = [center[n] for n in spec.free]
-    omega2, coupling_j = params.omega2, params.coupling_j
+    # omega2, J and the carrier are the same at every point of the search
+    omega2, coupling_j, carrier = params.omega2, params.coupling_j, pulse.carrier
     # a point's free coordinates, then the fixed ones: `pick` reads omega1, a2, duration off them
     order = spec.free + tuple(n for n in _FREE_ORDER if n not in spec.free)
     fixed = tuple(center[n] for n in order[len(spec.free):])
@@ -192,7 +192,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
             return value
         omega1, a2, duration = pick(point + fixed)
         a1 = a2 * omega1 / omega2 if spec.tie_a1 else pulse.a1
-        gen = Generator(omega1, omega2, coupling_j, a1, a2)
+        gen = Generator(omega1, omega2, coupling_j, carrier, a1, a2)
         if spec.recalibrate_duration:
             duration = gen.pi_duration()
         value = scored[point] = gen.objective(duration)
@@ -234,7 +234,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
 
     return TuneResult(
         params=SystemParams(best_point["omega1"], omega2, coupling_j),
-        pulse=PulseSpec(pulse.carrier, best_point["a1"], best_point["a2"], best_point["duration"]),
+        pulse=PulseSpec(carrier, best_point["a1"], best_point["a2"], best_point["duration"]),
         objective=best_val,
         converged=done(),
         evaluations=evaluations,

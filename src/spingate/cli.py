@@ -67,8 +67,10 @@ def _resolve(config: RunConfig, pi_timed: bool = False) -> tuple[Generator, floa
     The duration is pi-timed on the same point when the config says 'auto'
     or `pi_timed` asks for it; otherwise it is the configured one.
     """
-    # the config checked the carrier's resonance, and the duration does not enter B
-    gen = Generator(config.omega1, config.omega2, config.coupling_j, config.a1, config.a2)
+    # the config fixed the carrier ('auto' is omega2 - J), and the duration does not enter B
+    gen = Generator(
+        config.omega1, config.omega2, config.coupling_j, config.carrier, config.a1, config.a2
+    )
     return gen, gen.pi_duration() if pi_timed or config.duration is None else config.duration
 
 
@@ -188,10 +190,7 @@ _SWEEPABLE = ("omega1", "a1", "a2", "duration")
 
 def cmd_sweep(config: RunConfig, args) -> int:
     if args.param not in _SWEEPABLE:
-        raise ConfigError(
-            f"sweep parameter must be one of {', '.join(_SWEEPABLE)} "
-            f"(omega2 and coupling_j would move the resonance itself)"
-        )
+        raise ConfigError(f"sweep parameter must be one of {', '.join(_SWEEPABLE)}")
     for flag, value in (("--min", args.min), ("--max", args.max)):
         if not np.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value!r}")

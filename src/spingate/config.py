@@ -6,6 +6,7 @@ earlier ones.  Keys:
 
     omega1, omega2, coupling_j   system (angular frequencies)
     carrier                      drive frequency, or 'auto' for omega2 - J
+                                 (the conditional resonance)
     a1, a2                       drive amplitudes
     duration                     pulse length, or 'auto' to calibrate a
                                  pi-pulse at run time
@@ -16,9 +17,9 @@ earlier ones.  Keys:
     out                          output path
 
 Text, presets and CLI flags only supply values: `RunConfig` construction
-alone converts and checks them, resolving 'auto' and rejecting an
-off-resonant carrier, so one bad value gets one message wherever it came
-from (plus its line, when a config line set it).
+alone converts and checks them and resolves 'auto', so one bad value gets
+one message wherever it came from (plus its line, when a config line set
+it).
 
 Tuned-parameter reports are written in the same grammar, so any report can
 be fed back in as a config.
@@ -32,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import QState, check_param, check_resonance, digital_state, superposition_state
+from .core import QState, check_param, digital_state, superposition_state
 
 __all__ = [
     "ConfigError",
@@ -83,12 +84,11 @@ class RunConfig:
     config line, a preset, a flag and a direct call agree: numbers may come
     as text, 'auto' (or None) sets `carrier` to omega2 - J and leaves
     `duration` None (pi-timed when the scenario runs), the five required
-    keys may not be None, every set key meets
-    `core.check_param`, and an explicit carrier has to sit at the resonance
-    omega2 - J.  A failure raises `ConfigError` naming the key.  `initial`
-    keeps its spelling ('digital:11', 'eq21', or the amplitude list) so
-    emitted configs reload to an equal RunConfig; it is parsed once, here,
-    and `initial_state` returns the state.
+    keys may not be None, and every set key meets `core.check_param`.  A
+    failure raises `ConfigError` naming the key.  `initial` keeps its
+    spelling ('digital:11', 'eq21', or the amplitude list) so emitted
+    configs reload to an equal RunConfig; it is parsed once, here, and
+    `initial_state` returns the state.
     """
 
     omega1: float
@@ -134,8 +134,6 @@ class RunConfig:
                 kind = "a number or 'auto'" if key in _AUTO_KEYS else "a number"
                 raise ValueError(f"cannot parse {value!r} for key {key!r} as {kind}") from None
         check_param(key, value)
-        if key == "carrier":
-            check_resonance(self.omega2, self.coupling_j, value)
         return value
 
 

@@ -26,8 +26,6 @@ __all__ = [
     "superposition_state",
     "wrap_angle",
     "check_param",
-    "check_resonance",
-    "ResonanceError",
     "GcnPatternError",
     "CalibrationError",
 ]
@@ -37,14 +35,6 @@ BASIS_INDEX = {label: i for i, label in enumerate(BASIS_LABELS)}
 
 #: default tolerance on | ||amps||^2 - 1 | for states accepted as physical
 NORM_TOL = 1e-9
-
-#: relative tolerance for the carrier == omega2 - J resonance condition
-RESONANCE_RTOL = 1e-12
-
-
-class ResonanceError(ValueError):
-    """Raised when a pulse carrier is off the conditional resonance."""
-
 
 class CalibrationError(RuntimeError):
     """Raised when a calibration search cannot locate an interior optimum."""
@@ -104,16 +94,6 @@ def check_param(name: str, value) -> None:
     if not test(value):
         got = repr(value) if isinstance(value, str) else str(value)
         raise ValueError(f"{name} {requirement}, got {got}")
-
-
-def check_resonance(omega2: float, coupling_j: float, carrier: float) -> None:
-    """Raise `ResonanceError` unless the carrier is omega2 - J to `RESONANCE_RTOL`."""
-    resonant = omega2 - coupling_j
-    if abs(carrier - resonant) > RESONANCE_RTOL * max(1.0, abs(resonant)):
-        raise ResonanceError(
-            f"carrier {carrier!r} is off resonance: the constant-coefficient "
-            f"rotating-frame equations require omega = omega2 - J = {resonant!r}"
-        )
 
 
 def wrap_angle(phi: float) -> float:

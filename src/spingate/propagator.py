@@ -1,23 +1,26 @@
-"""Rotating-frame amplitude dynamics under a resonant rectangular pulse.
+"""Rotating-frame amplitude dynamics under a rectangular pulse.
 
-With the carrier locked to the conditional transition omega2 - J, the
-amplitude equations of motion close into a constant-coefficient linear
-system
+The pulse is circularly polarized, so in the frame that rotates with it the
+amplitude equations of motion close, at any carrier, into a
+constant-coefficient linear system
 
     dc/dt = (i/2) B c,
 
 where B is a real symmetric 4x4 matrix: diagonal entries carry the residual
-level detunings, off-diagonal entries the drive amplitudes.  Because B is
-constant and symmetric the propagator is the exact matrix exponential
-exp(i B t / 2), evaluated here by eigendecomposition: a `Generator` is one
-parameter point, diagonalized once, whose `gate(t, frame)` is that
-propagator.  A classical RK4 integrator of the same system is kept as an
-independent cross-check; it reads only B, never the eigensystem.
+level detunings, off-diagonal entries the drive amplitudes.  The carrier
+enters B as one term: with delta = carrier - (omega2 - J), its detuning from
+the conditional transition, B(delta) = B(0) + diag(-2 delta, 0, 0, +2 delta).
+Because B is constant and symmetric the propagator is the exact matrix
+exponential exp(i B t / 2), evaluated here by eigendecomposition: a
+`Generator` is one parameter point, diagonalized once, whose
+`gate(t, frame)` is that propagator.  A classical RK4 integrator of the
+same system is kept as an independent cross-check; it reads only B, never
+the eigensystem.
 """
 
 from __future__ import annotations
 
-from math import cos, inf, sin
+from math import cos, hypot, inf, sin
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from .core import (
     SystemParams,
     TimeSeries,
     check_param,
-    check_resonance,
 )
 
 __all__ = [
@@ -42,7 +44,7 @@ __all__ = [
 #: max-norm unitarity tolerance of every `Generator.gate`: tomography, search and sweep gates
 GATE_UNITARITY_TOL = 1e-8
 
-#: pi-timing search interval and final bracket width, in units of pi / a2
+#: pi-timing search interval and final bracket width, in units of pi / hypot(a2, delta)
 _PI_BRACKET = (0.8, 1.2)
 _PI_REL_TOL = 1e-6
 
@@ -67,35 +69,38 @@ class Generator:
     the gate, the pi-pulse transfer and its timing, the pure-CN objective)
     follows in closed form from the eigenvalues `lam` and the orthonormal
     eigenvectors `v` (columns).  `matrix_b`, `lam` and `v` are read-only.
-    Holding omega1, omega2 and coupling_j, a Generator also serves as the
-    `params` of `frame_phase_factors`.
 
-    Structure (basis order 00, 01, 10, 11):
+    Structure (basis order 00, 01, 10, 11), with the carrier's detuning
+    delta = carrier - (omega2 - J):
 
-        B[00,00] = -2 (omega2 - omega1 - 2J)     B[00,01] = B[01,00] = a2
-        B[01,01] = -2 (omega2 - omega1)          B[00,10] = B[10,00] = a1
-        B[10,10] = B[11,11] = 0                  B[01,11] = B[11,01] = a1
-                                                 B[10,11] = B[11,10] = a2
+        B[00,00] = -2 (omega2 - omega1 - 2J) - 2 delta    B[00,01] = B[01,00] = a2
+        B[01,01] = -2 (omega2 - omega1)                   B[00,10] = B[10,00] = a1
+        B[10,10] = 0                                      B[01,11] = B[11,01] = a1
+        B[11,11] = +2 delta                               B[10,11] = B[11,10] = a2
     """
 
-    __slots__ = ("omega1", "omega2", "coupling_j", "a1", "a2", "matrix_b", "lam", "v")
+    __slots__ = ("omega1", "omega2", "coupling_j", "carrier", "a1", "a2", "matrix_b", "lam", "v")
 
-    def __init__(self, omega1: float, omega2: float, coupling_j: float, a1: float, a2: float):
+    def __init__(
+        self, omega1: float, omega2: float, coupling_j: float, carrier: float, a1: float, a2: float
+    ):
         # check_param's rules in one chain: a call per name would cost a search 3-5% of its speed
         if not (
             0.0 < omega1 < inf and 0.0 < omega2 < inf and -inf < coupling_j < inf
-            and 0.0 <= a1 < inf and 0.0 <= a2 < inf
+            and 0.0 < carrier < inf and 0.0 <= a1 < inf and 0.0 <= a2 < inf
         ):
-            names = ("omega1", "omega2", "coupling_j", "a1", "a2")
-            for name, value in zip(names, (omega1, omega2, coupling_j, a1, a2)):
+            names = ("omega1", "omega2", "coupling_j", "carrier", "a1", "a2")
+            for name, value in zip(names, (omega1, omega2, coupling_j, carrier, a1, a2)):
                 check_param(name, value)
-        d0 = -2.0 * (omega2 - omega1 - 2.0 * coupling_j)
+        d3 = 2.0 * (carrier - (omega2 - coupling_j))
+        d0 = -2.0 * (omega2 - omega1 - 2.0 * coupling_j) - d3
         d1 = -2.0 * (omega2 - omega1)
-        # a1 and a2 are finite by the chain above, so B is finite iff its two detunings are
+        # a1 and a2 are finite by the chain above, and d3 is finite whenever d0 is,
+        # so B is finite iff d0 and d1 are
         if not (-inf < d0 < inf and -inf < d1 < inf):
             raise ValueError("generator contains non-finite entries")
         b = np.zeros((4, 4))
-        b[0, 0], b[1, 1] = d0, d1
+        b[0, 0], b[1, 1], b[3, 3] = d0, d1, d3
         b[0, 1] = b[1, 0] = a2
         b[0, 2] = b[2, 0] = a1
         b[1, 3] = b[3, 1] = a1
@@ -107,7 +112,7 @@ class Generator:
         lam.setflags(False)
         v.setflags(False)
         self.omega1, self.omega2, self.coupling_j = omega1, omega2, coupling_j
-        self.a1, self.a2 = a1, a2
+        self.carrier, self.a1, self.a2 = carrier, a1, a2
         self.matrix_b, self.lam, self.v = b, lam, v
 
     def gate(self, tau: float, frame: str = "raw") -> np.ndarray:
@@ -140,8 +145,12 @@ class Generator:
     def pi_duration(self) -> float:
         """Duration maximizing `transfer`: the operational pi-pulse.
 
-        Golden-section search on [0.8, 1.2] * (pi / a2), refined until the
-        bracket is narrower than 1e-6 * (pi / a2); 32 transfer probes.
+        The 10 <-> 11 pair turns over at the generalized Rabi rate
+        hypot(a2, delta), so the pi-pulse is near tau0 = pi / hypot(a2, delta).
+        Golden-section search on [0.8, 1.2] * tau0, refined until the
+        bracket is narrower than 1e-6 * tau0; 32 transfer probes.  The
+        transfer peaks at a2^2 / (a2^2 + delta^2), so a carrier detuned by
+        more than a2 moves less than half the population and is rejected.
 
         Raises
         ------
@@ -149,13 +158,15 @@ class Generator:
             If the search converges onto a bracket endpoint, i.e. there is no
             interior maximum; the endpoint transfer values are reported.  Also
             if the interior maximum transfers less than half the population
-            (no inversion, as when omega1 = omega2); it is reported with its tau.
+            (no inversion, as when omega1 = omega2 or |delta| > a2); it is
+            reported with its tau.
         ValueError
             If a2 is not positive (no resonant drive, no pi condition).
         """
         if self.a2 <= 0:
             raise ValueError("pi-pulse calibration requires a2 > 0")
-        tau_nominal = np.pi / self.a2
+        # B[11,11] = 2 delta
+        tau_nominal = np.pi / hypot(self.a2, 0.5 * float(self.matrix_b[3, 3]))
         lo, hi = _PI_BRACKET[0] * tau_nominal, _PI_BRACKET[1] * tau_nominal
         tol = _PI_REL_TOL * tau_nominal
 
@@ -234,13 +245,10 @@ def _transfer_probe(lam: np.ndarray, v: np.ndarray):
 
 
 def build_generator(params: SystemParams, pulse: PulseSpec) -> Generator:
-    """The `Generator` of a resonant pulse.
-
-    The constant-coefficient form only holds at the carrier choice
-    omega = omega2 - J; any other carrier is rejected.
-    """
-    check_resonance(params.omega2, params.coupling_j, pulse.carrier)
-    return Generator(params.omega1, params.omega2, params.coupling_j, pulse.a1, pulse.a2)
+    """The `Generator` of a system and a pulse; the pulse duration does not enter B."""
+    return Generator(
+        params.omega1, params.omega2, params.coupling_j, pulse.carrier, pulse.a1, pulse.a2
+    )
 
 
 def evolve_rk4(state: QState, gen: Generator, t: float, dt: float) -> QState:
@@ -275,24 +283,16 @@ def evolve_rk4(state: QState, gen: Generator, t: float, dt: float) -> QState:
     return QState(evolved, norm_tol=1e-3)
 
 
-def frame_phase_factors(params: SystemParams, t: float | np.ndarray) -> np.ndarray:
-    """Diagonal of the raw -> primed frame transform at time t.
+def frame_phase_factors(gen: Generator, t: float | np.ndarray) -> np.ndarray:
+    """Diagonal of the raw -> primed frame transform at time t: exp(-i diag(B) t / 2).
 
-    Drive-free evolution in the rotating frame is pure phases: c00 and c01
-    acquire exp[-i (omega2 - omega1 - 2J) t] and exp[-i (omega2 - omega1) t],
-    c10 and c11 none.  The primed frame strips them.  A column of times
-    (shape (n, 1)) gives one row of factors per time.  `params` may be any
-    object with omega1, omega2 and coupling_j, a `Generator` included.
+    Drive-free evolution in the rotating frame is the pure phases
+    exp(i diag(B) t / 2); the primed frame strips them.  A column of times
+    (shape (n, 1)) gives one row of factors per time.
     """
-    rates = np.array(
-        [
-            params.omega2 - params.omega1 - 2.0 * params.coupling_j,
-            params.omega2 - params.omega1,
-            0.0,
-            0.0,
-        ]
-    )
-    return np.exp(+1j * rates * t)
+    # as 1j * rate * t with rate = -B_kk / 2: other orders flip the sign of some zero
+    # parts of the factors, and a primed CSV row prints that sign
+    return np.exp(1j * (-0.5 * gen.matrix_b.diagonal()) * t)
 
 
 def _sample_grid(duration: float, sample_dt: float) -> np.ndarray:

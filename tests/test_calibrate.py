@@ -62,7 +62,7 @@ class TestCalibratePiDuration:
         # omega1 = omega2 (D1 = 0): a1 drives 11 <-> 01 on resonance as well, and the
         # interior maximum of the transfer to 10, at tau = 30.81, is only 0.038
         with pytest.raises(CalibrationError, match="no population inversion") as excinfo:
-            Generator(100.0, 100.0, 5.0, 0.5, 0.1).pi_duration()
+            Generator(100.0, 100.0, 5.0, 95.0, 0.5, 0.1).pi_duration()
         message = str(excinfo.value)
         assert "best transfer 0.0379" in message
         assert "at 30.81" in message

@@ -176,17 +176,6 @@ class TestSimulate:
         )
         assert code == 1
 
-    def test_off_resonant_carrier_fails(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("carrier = 96\n")
-        code = run_cli(
-            "simulate", "--preset", "params12", "--config", str(config),
-            "--initial", "digital:11", "--sample-dt", "0.1",
-            "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 1
-        assert "omega2 - J" in capsys.readouterr().err
-
     def test_auto_duration_diagonalizes_once(self, tmp_path, eigh_calls):
         # pi timing and the time series read the same eigensystem
         code = run_cli("simulate", "--preset", "params12", "--initial", "digital:11",
@@ -207,7 +196,7 @@ class TestWriteTimeseriesCsv:
 
     @staticmethod
     def pi_pulse_series(a2: float, frame: str) -> TimeSeries:
-        gen = Generator(500.0, 100.0, 5.0, 0.5, a2)
+        gen = Generator(500.0, 100.0, 5.0, 95.0, 0.5, a2)
         initial = superposition_state([0.3, -0.5j, 0.6 + 0.2j, 0.4], normalize=True)
         return gen.timeseries(initial, gen.pi_duration(), 0.01, frame)
 
@@ -293,6 +282,40 @@ class TestTomography:
         code = run_cli("tomography", "--preset", "params12", "--out", str(tmp_path / "g.txt"))
         assert code == 0
         assert len(eigh_calls) == 1
+
+
+class TestDetunedCarrier:
+    """A carrier 0.03 off omega2 - J runs like any other: its detuning enters B."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "detuned.cfg"
+        path.write_text("carrier = 95.03\n")
+        return str(path)
+
+    def test_pi_duration_report(self, tmp_path, config):
+        out = tmp_path / "tuned.cfg"
+        code = run_cli("calibrate", "--preset", "params12", "--config", config,
+                       "--pi-duration", "--out", str(out))
+        assert code == 0
+        values, _ = read_report(out)
+        gen = Generator(500.0, 100.0, 5.0, 95.03, 0.5, 0.1)
+        assert float(values["pi_duration"]) == gen.pi_duration()
+        assert parse_config(out.read_text()).carrier == 95.03
+
+    def test_tomography_gate(self, tmp_path, config, capsys):
+        out = tmp_path / "gate.txt"
+        code = run_cli("tomography", "--preset", "params12", "--config", config,
+                       "--out", str(out))
+        # the pulse transfers a2^2 / (a2^2 + delta^2) = 0.917 of |11>, which leaves
+        # the gate outside the phased-CN pattern: reported, and the exit status is 1
+        assert code == 1
+        assert "not a conditional NOT" in capsys.readouterr().err
+        _, rows = read_report(out)
+        gate = np.array([complex(float(r), float(i)) for r, i in
+                         (row.split(",")[2:] for row in rows[1:])]).reshape(4, 4)
+        gen = Generator(500.0, 100.0, 5.0, 95.03, 0.5, 0.1)
+        assert np.array_equal(gate, gen.gate(gen.pi_duration(), "primed"))
 
 
 class TestCalibrate:
@@ -616,6 +639,8 @@ class TestSweep:
         assert len(eigh_calls) == 5
 
     def test_resonance_moving_parameter_rejected(self, tmp_path):
+        # the config fixes an 'auto' carrier when it is built, so sweeping omega2 would
+        # silently detune the pulse from omega2 - J
         code = run_cli(
             "sweep", "--preset", "params12", "--param", "omega2",
             "--min", "99", "--max", "101", "--out", str(tmp_path / "x.csv"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spingate import ConfigError, ResonanceError, parse_config
+from spingate import ConfigError, parse_config
 from spingate.config import (
     EQ21_AMPS,
     PARAMS24_DURATION,
@@ -17,7 +17,6 @@ from spingate.config import (
     initial_state,
     load_config,
 )
-from spingate.core import RESONANCE_RTOL, check_resonance
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -157,10 +156,8 @@ class TestOnePath:
         "key, value, message",
         [("a1", "x", "cannot parse 'x' for key 'a1' as a number"),
          ("frame", "lab", "frame must be 'raw' or 'primed', got 'lab'"),
-         ("sample_dt", "-1", "sample_dt must be positive and finite, got -1.0"),
-         ("carrier", "96", "carrier 96.0 is off resonance: the constant-coefficient "
-                           "rotating-frame equations require omega = omega2 - J = 95.0")],
-        ids=["unparseable", "bad-frame", "out-of-range", "off-resonance"],
+         ("sample_dt", "-1", "sample_dt must be positive and finite, got -1.0")],
+        ids=["unparseable", "bad-frame", "out-of-range"],
     )
     def test_same_message_from_line_flag_and_direct_call(self, tmp_path, key, value, message):
         path = tmp_path / "run.cfg"
@@ -310,18 +307,12 @@ class TestRoundTrip:
         config = parse_config("omega1=500\nomega2=100\ncoupling_j=5\na1=0.5\na2=0.1\n")
         assert parse_config(emit_config(config)) == config
 
-    @staticmethod
-    def _point(omega2, j_fraction, offset):
-        """omega2, J and a carrier `offset` resonance tolerances away from omega2 - J."""
-        coupling_j = omega2 * j_fraction
-        resonant = omega2 - coupling_j
-        return omega2, coupling_j, resonant + offset * RESONANCE_RTOL * max(1.0, abs(resonant))
-
     @given(
         omega1=st.floats(1e-2, 1e4),
         omega2=st.floats(1e-2, 1e4),
-        j_fraction=st.floats(-2.0, 0.999),  # J / omega2, so that omega2 - J > 0
-        offset=st.floats(-0.99, 0.99),
+        coupling_j=st.floats(-2e4, 2e4),
+        # any positive finite carrier, on the conditional line omega2 - J or off it
+        carrier=st.floats(0.0, exclude_min=True, allow_infinity=False),
         a1=st.floats(0.0, 1e3),
         a2=st.floats(0.0, 1e3),
         duration=st.none() | st.floats(0.0, 1e4),
@@ -329,9 +320,8 @@ class TestRoundTrip:
         out=st.none() | st.text(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_round_trip_near_resonance(self, omega1, omega2, j_fraction, offset, a1, a2,
+    def test_round_trip_near_resonance(self, omega1, omega2, coupling_j, carrier, a1, a2,
                                        duration, out):
-        omega2, coupling_j, carrier = self._point(omega2, j_fraction, offset)
         try:
             config = RunConfig(omega1, omega2, coupling_j, carrier, a1, a2, duration, out=out)
         except ConfigError as exc:
@@ -340,21 +330,6 @@ class TestRoundTrip:
             return
         assert config.carrier == carrier
         assert parse_config(emit_config(config)) == config
-
-    @given(
-        omega2=st.floats(1e-2, 1e4),
-        j_fraction=st.floats(-2.0, 0.999),
-        offset=st.floats(1.01, 100.0) | st.floats(-100.0, -1.01),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_carrier_off_resonance_rejected(self, omega2, j_fraction, offset):
-        omega2, coupling_j, carrier = self._point(omega2, j_fraction, offset)
-        with pytest.raises(ResonanceError, match="is off resonance"):
-            check_resonance(omega2, coupling_j, carrier)
-        # a config reports the same rule as a ConfigError naming the key
-        with pytest.raises(ConfigError, match="is off resonance") as excinfo:
-            RunConfig(500.0, omega2, coupling_j, carrier, 0.5, 0.1)
-        assert excinfo.value.key == "carrier"
 
     def test_readme_config_example(self):
         blocks = re.findall(r"```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

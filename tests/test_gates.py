@@ -10,6 +10,7 @@ from spingate import (
     GcnPatternError,
     GcnPhases,
     PulseSpec,
+    build_generator,
     cn_matrix,
     extract_gcn_phases,
     frame_phase_factors,
@@ -273,14 +274,15 @@ class TestTomography:
     def test_frame_consistency(self, params12, pulse12):
         raw = tomography(params12, pulse12, frame="raw")
         primed = tomography(params12, pulse12, frame="primed")
-        lifted = np.diag(frame_phase_factors(params12, pulse12.duration)) @ raw
+        gen = build_generator(params12, pulse12)
+        lifted = np.diag(frame_phase_factors(gen, pulse12.duration)) @ raw
         assert np.max(np.abs(primed - lifted)) < 1e-12
 
     def test_columns_are_basis_images(self, params12, pulse12):
         # column j must be the final state of digital basis state j, here propagated by
         # scipy's expm rather than the eigensystem; the phases 0.5 * lam * tau reach about
         # 1.3e4 rad, and the two paths agree to about 1.4e-11
-        from spingate import build_generator, digital_state
+        from spingate import digital_state
         from spingate.core import BASIS_LABELS
 
         gate = tomography(params12, pulse12, frame="raw")

@@ -5,14 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import spingate.propagator
 from spingate import (
+    CalibrationError,
     Generator,
     PulseSpec,
-    ResonanceError,
     SystemParams,
     build_generator,
     digital_state,
@@ -54,10 +56,106 @@ class TestBuildGenerator:
         b = build_generator(params12, pulse).matrix_b
         assert np.array_equal(b, np.diag([820.0, 800.0, 0.0, 0.0]))
 
-    def test_off_resonant_carrier_rejected(self, params12):
-        pulse = PulseSpec(carrier=95.1, a1=0.5, a2=0.1, duration=1.0)
-        with pytest.raises(ResonanceError, match="omega2 - J"):
-            build_generator(params12, pulse)
+
+def _spin_operators():
+    """I1z, I2z, I1x, I2x, I1y, I2y over (00, 01, 10, 11), with Iz|0> = +|0>/2, in sympy."""
+    half = sp.Rational(1, 2)
+    z = sp.diag(half, -half)
+    x = sp.Matrix([[0, half], [half, 0]])
+    y = sp.Matrix([[0, -sp.I * half], [sp.I * half, 0]])
+    return tuple(
+        op for m in (z, x, y)
+        for op in (sp.kronecker_product(m, sp.eye(2)), sp.kronecker_product(sp.eye(2), m))
+    )
+
+
+class TestDetunedCarrier:
+    """A carrier omega = omega2 - J + delta enters B as diag(-2 delta, 0, 0, +2 delta).
+
+    The lab Hamiltonian of a circularly polarized pulse is
+    H(t) = -omega1 I1z - omega2 I2z - 2J I1z I2z - sum_n a_n (cos wt Inx - sin wt Iny).
+    """
+
+    def test_rotating_frame_hamiltonian_is_minus_half_b(self):
+        # psi = exp(-i R t) c with R = -omega (I1z + I2z) gives i dc/dt = (F H F^dag - R) c,
+        # F = exp(i R t); that is -B/2 up to a multiple of the identity, at any delta
+        omega1, omega2, j, a1, a2, t, delta = sp.symbols("omega1 omega2 J a1 a2 t delta", real=True)
+        omega = omega2 - j + delta
+        i1z, i2z, i1x, i2x, i1y, i2y = _spin_operators()
+        lab = (
+            -omega1 * i1z - omega2 * i2z - 2 * j * i1z * i2z
+            - a1 * (sp.cos(omega * t) * i1x - sp.sin(omega * t) * i1y)
+            - a2 * (sp.cos(omega * t) * i2x - sp.sin(omega * t) * i2y)
+        )
+        r = -omega * (i1z + i2z)
+        f = sp.diag(*[sp.exp(sp.I * r[k, k] * t) for k in range(4)])
+        b = sp.Matrix([
+            [-2 * (omega2 - omega1 - 2 * j) - 2 * delta, a2, a1, 0],
+            [a2, -2 * (omega2 - omega1), 0, a1],
+            [a1, 0, 0, a2],
+            [0, a1, a2, 2 * delta],
+        ])
+        rest = (f * lab * f.conjugate() - r + b / 2).applyfunc(
+            lambda entry: sp.simplify(entry.rewrite(sp.exp))
+        )
+        assert rest == rest[0, 0] * sp.eye(4)
+        assert not rest[0, 0].has(delta, t, a1, a2)
+        # the package's B is that matrix, entry for entry (the values are exact in binary)
+        point = {omega1: 500.0, omega2: 100.0, j: 5.0, a1: 0.5, a2: 0.125}
+        for d in (0.25, -0.375):
+            gen = Generator(500.0, 100.0, 5.0, 95.0 + d, 0.5, 0.125)
+            expected = np.array(b.subs({**point, delta: d}), dtype=float)
+            assert np.array_equal(gen.matrix_b, expected)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.03, -0.07])
+    def test_gate_matches_lab_frame_propagator(self, delta):
+        # the lab-frame Schrodinger equation integrated by DOP853, independent of B; the
+        # frequencies are lowered from params12 so the solve takes about a second
+        omega1, omega2, j, a1, a2 = 50.0, 10.0, 1.0, 0.05, 0.1
+        carrier, tau = omega2 - j + delta, 0.93 * np.pi / a2
+        i1z, i2z, i1x, i2x, i1y, i2y = (np.array(op, dtype=complex) for op in _spin_operators())
+        h0 = -omega1 * i1z - omega2 * i2z - 2.0 * j * i1z @ i2z
+        hx, hy = -(a1 * i1x + a2 * i2x), -(a1 * i1y + a2 * i2y)
+
+        def rhs(t, u):
+            h = h0 + math.cos(carrier * t) * hx - math.sin(carrier * t) * hy
+            return (-1j * h @ u.reshape(4, 4)).ravel()
+
+        solved = solve_ivp(rhs, (0.0, tau), np.eye(4, dtype=complex).ravel(),
+                           method="DOP853", rtol=1e-12, atol=1e-12)
+        lab = solved.y[:, -1].reshape(4, 4)
+        # the primed frame is the interaction picture of the drift h0, up to a global phase
+        interaction = np.exp(1j * np.diag(h0) * tau)[:, None] * lab
+
+        def misses(gen):
+            moduli = float(np.max(np.abs(np.abs(gen.gate(tau)) - np.abs(lab))))
+            overlap = abs(np.trace(gen.gate(tau, "primed").conj().T @ interaction)) / 4.0
+            return moduli, 1.0 - overlap
+
+        # measured: moduli within 2.7e-11 to 6.9e-11, infidelity 1.2e-11
+        moduli, infidelity = misses(Generator(omega1, omega2, j, carrier, a1, a2))
+        assert moduli <= 1e-9 and infidelity <= 1e-10
+        if delta:
+            # the resonant B(0) and the sign-flipped B(-delta) miss by 2.2e-2 or more
+            for wrong in (omega2 - j, omega2 - j - delta):
+                assert misses(Generator(omega1, omega2, j, wrong, a1, a2))[0] > 1e-2
+
+    @pytest.mark.parametrize("ratio", [-0.5, -0.2, 0.2, 0.5, 0.7, 0.9])
+    def test_pi_duration_closed_form(self, ratio):
+        # the 10/11 pair: transfer a2^2 / (a2^2 + delta^2) at tau = pi / hypot(a2, delta),
+        # up to the a1 couplings to the far-detuned levels (measured 3.5e-5 and 2.5e-5)
+        a2 = 0.1
+        delta = ratio * a2
+        gen = Generator(500.0, 100.0, 5.0, 95.0 + delta, 0.5, a2)
+        tau = gen.pi_duration()
+        assert tau == pytest.approx(np.pi / math.hypot(a2, delta), rel=1e-4)
+        assert gen.transfer(tau) == pytest.approx(a2**2 / (a2**2 + delta**2), abs=1e-4)
+
+    @pytest.mark.parametrize("ratio", [1.1, 1.5])
+    def test_no_inversion_past_a2(self, ratio):
+        gen = Generator(500.0, 100.0, 5.0, 95.0 + ratio * 0.1, 0.5, 0.1)
+        with pytest.raises(CalibrationError, match="^no population inversion "):
+            gen.pi_duration()
 
 
 class TestEvolveExact:
@@ -108,16 +206,20 @@ class TestEvolveExact:
     def test_nonfinite_generator_rejected(self):
         # B[00,00] = -2 (100 - 1e308 - 10) overflows to inf
         with pytest.raises(ValueError, match="generator contains non-finite entries"):
-            Generator(1e308, 100.0, 5.0, 0.5, 0.1)
+            Generator(1e308, 100.0, 5.0, 95.0, 0.5, 0.1)
 
     @pytest.mark.parametrize(
         "point, overflowing",
-        [((1.0, 1.0, 1e308, 0.5, 0.1), 0), ((1.0, 1e308, 5e307, 0.5, 0.1), 1)],
+        [((1.0, 1.0, -1e308, 1e308, 0.5, 0.1), 0), ((1.0, 1e308, 5e307, 5e307, 0.5, 0.1), 1)],
         ids=["d0_only", "d1_only"],
     )
     def test_each_nonfinite_detuning_rejected(self, point, overflowing):
-        omega1, omega2, coupling_j, _, _ = point
-        detunings = [-2.0 * (omega2 - omega1 - 2.0 * coupling_j), -2.0 * (omega2 - omega1)]
+        # B[11,11] = 2 delta is finite whenever B[00,00] = ... - 2 delta is, so two are checked
+        omega1, omega2, coupling_j, carrier, _, _ = point
+        delta = carrier - (omega2 - coupling_j)
+        detunings = [
+            -2.0 * (omega2 - omega1 - 2.0 * coupling_j) - 2.0 * delta, -2.0 * (omega2 - omega1)
+        ]
         assert [math.isfinite(d) for d in detunings] == [overflowing != k for k in (0, 1)]
         with pytest.raises(ValueError, match="^generator contains non-finite entries$"):
             Generator(*point)
@@ -129,11 +231,11 @@ class TestEvolveExact:
          ("a2", -0.1), ("a2", np.nan)],
     )
     def test_out_of_range_inputs_rejected_like_the_dataclasses(self, name, value):
-        point = {"omega1": 500.0, "omega2": 100.0, "coupling_j": 5.0, "a1": 0.5, "a2": 0.1}
+        point = dict(_POINT12)
         point[name] = value
         with pytest.raises(ValueError) as dataclass_error:
             SystemParams(point["omega1"], point["omega2"], point["coupling_j"])
-            PulseSpec(carrier=95.0, a1=point["a1"], a2=point["a2"], duration=0.0)
+            PulseSpec(carrier=point["carrier"], a1=point["a1"], a2=point["a2"], duration=0.0)
         with pytest.raises(ValueError) as generator_error:
             Generator(**point)
         assert str(generator_error.value) == str(dataclass_error.value)
@@ -250,7 +352,7 @@ class TestSpectralKernel:
         # the scalar sum runs left to right, numpy's dot with fused
         # multiply-adds; seeded runs put them at most 3 ulp apart
         omega1, omega2, j, a1, ratio = point
-        gen = Generator(omega1, omega2, j, a1, ratio * j)
+        gen = Generator(omega1, omega2, j, omega2 - j, a1, ratio * j)
         tau = fraction * np.pi / gen.a2
         assert abs(gen.transfer(tau) - _numpy_transfer(gen, tau)) <= 1e-15
 
@@ -258,7 +360,7 @@ class TestSpectralKernel:
     @given(point=_POINTS)
     def test_pi_duration_matches_numpy_golden_section(self, point):
         omega1, omega2, j, a1, ratio = point
-        gen = Generator(omega1, omega2, j, a1, ratio * j)
+        gen = Generator(omega1, omega2, j, omega2 - j, a1, ratio * j)
         tau_nominal = np.pi / gen.a2
         tol = 1e-6 * tau_nominal
         oracle = _golden_section_max(
@@ -277,7 +379,7 @@ class TestSpectralKernel:
     def test_pi_duration_is_grid_maximum_as_a2_nears_j(self, omega1, omega2, j, a1, ratio):
         # as a2 nears J the drive also reaches the omega2 + J line; the timing
         # must still land on the bracket's highest transfer, not a side peak
-        gen = Generator(omega1, omega2, j, a1, ratio * j)
+        gen = Generator(omega1, omega2, j, omega2 - j, a1, ratio * j)
         tau = gen.pi_duration()
         reached = gen.transfer(tau)
         tau_nominal = np.pi / gen.a2
@@ -292,11 +394,11 @@ class TestSpectralKernel:
     @pytest.mark.parametrize(
         "point, tau",
         [
-            ((500.0, 100.0, 5.0, 0.5, 0.1), 31.41592653589793),
-            ((500.06, 100.0, 5.0, 0.10016 * 500.06 / 100.0, 0.10016), 31.36581613646792),
-            ((500.0, 100.0, 5.0, 0.5, 0.08), 39.269172766857494),
-            ((500.0, 100.0, 5.0, 0.5, 0.04), 78.53981633974482),
-            ((500.0, 100.0, 5.0, 0.5, 0.025), 125.66370614359172),
+            ((500.0, 100.0, 5.0, 95.0, 0.5, 0.1), 31.41592653589793),
+            ((500.06, 100.0, 5.0, 95.0, 0.10016 * 500.06 / 100.0, 0.10016), 31.36581613646792),
+            ((500.0, 100.0, 5.0, 95.0, 0.5, 0.08), 39.269172766857494),
+            ((500.0, 100.0, 5.0, 95.0, 0.5, 0.04), 78.53981633974482),
+            ((500.0, 100.0, 5.0, 95.0, 0.5, 0.025), 125.66370614359172),
         ],
         ids=["params12", "params24", "a2=0.08", "a2=0.04", "a2=0.025"],
     )
@@ -328,7 +430,9 @@ class TestSpectralKernel:
 
 
 _EDGES = (0.0, -0.0, -1.0, 1e-300, 1e308, np.inf, -np.inf, np.nan)
-_POINT12 = {"omega1": 500.0, "omega2": 100.0, "coupling_j": 5.0, "a1": 0.5, "a2": 0.1}
+_POINT12 = {
+    "omega1": 500.0, "omega2": 100.0, "coupling_j": 5.0, "carrier": 95.0, "a1": 0.5, "a2": 0.1,
+}
 
 
 def _first_error(*calls) -> str | None:
@@ -369,7 +473,7 @@ class TestInlineRangeChecks:
         got = _first_error(lambda: Generator(**{**_POINT12, name: value}))
         if expected is None:
             assert fallbacks == []
-            # 1e308 for omega1 or coupling_j overflows a detuning of B
+            # 1e308 for anything but a1 or a2 overflows a detuning of B
             assert got in (None, "generator contains non-finite entries")
         else:
             assert got == expected
@@ -404,7 +508,7 @@ class TestUnitarityGuard:
             return lam, v * (1.0 + 1e-6)
 
         monkeypatch.setattr(np.linalg, "eigh", skewed)
-        gen = Generator(500.0, 100.0, 5.0, 0.5, 0.1)
+        gen = Generator(500.0, 100.0, 5.0, 95.0, 0.5, 0.1)
         # U scales by (1 + 1e-6)^2, so U^dag U - I = ((1 + 1e-6)^4 - 1) I: defect 4.000e-06
         defect = (1.0 + 1e-6) ** 4 - 1.0
         message = rf"^gate at tau={re.escape(repr(tau12))} is not unitary \(defect {defect:.3e}\)$"
@@ -463,21 +567,21 @@ class TestFrameTransforms:
         # zero drive: pure free evolution
         return build_generator(params12, PulseSpec(carrier=95.0, a1=0.0, a2=0.0, duration=1.0))
 
-    def test_free_evolution_phases(self, params12):
+    def test_free_evolution_phases(self, gen0):
         state = superposition_state(EQ21_AMPS)
         t = 0.731
-        c00, c01, c10, c11 = frame_phase_factors(params12, t) * state.amps
+        c00, c01, c10, c11 = frame_phase_factors(gen0, t) * state.amps
         assert abs(c00 - state.c00 * np.exp(+1j * (100 - 500 - 10) * t)) < 1e-15
         assert abs(c01 - state.c01 * np.exp(+1j * (100 - 500) * t)) < 1e-15
         assert c10 == state.c10 and c11 == state.c11
 
-    def test_10_is_stationary(self, params12):
-        out = frame_phase_factors(params12, 17.3) * digital_state("10").amps
+    def test_10_is_stationary(self, gen0):
+        out = frame_phase_factors(gen0, 17.3) * digital_state("10").amps
         assert np.array_equal(out, digital_state("10").amps)
 
     @given(t=st.floats(min_value=0.0, max_value=60.0))
     @settings(max_examples=40, deadline=None)
-    def test_primed_inverts_free_evolution(self, params12, gen0, t):
+    def test_primed_inverts_free_evolution(self, gen0, t):
         # without drive the primed frame is frozen at the initial state
         state = superposition_state(EQ21_AMPS)
         back = gen0.gate(t, "primed") @ state.amps
@@ -485,35 +589,35 @@ class TestFrameTransforms:
 
     @given(t=st.floats(min_value=0.0, max_value=60.0))
     @settings(max_examples=40, deadline=None)
-    def test_phase_only_moduli_preserved(self, params12, t):
+    def test_phase_only_moduli_preserved(self, gen0, t):
         state = superposition_state(EQ21_AMPS)
-        out = frame_phase_factors(params12, t) * state.amps
+        out = frame_phase_factors(gen0, t) * state.amps
         assert np.max(np.abs(np.abs(out) - np.abs(state.amps))) < 1e-15
 
-    def test_matches_exact_with_zero_drive(self, params12, gen0):
+    def test_matches_exact_with_zero_drive(self, gen0):
         # the raw zero-drive evolution is the inverse frame transform
         state = superposition_state(EQ21_AMPS)
         for t in (0.1, 3.7, 31.4):
             via_gen = gen0.gate(t) @ state.amps
-            via_phases = state.amps / frame_phase_factors(params12, t)
+            via_phases = state.amps / frame_phase_factors(gen0, t)
             assert np.max(np.abs(via_gen - via_phases)) < 1e-12
 
-    def test_t0_identity(self, params12):
+    def test_t0_identity(self, gen0):
         state = superposition_state(EQ21_AMPS)
-        assert np.array_equal(frame_phase_factors(params12, 0.0) * state.amps, state.amps)
+        assert np.array_equal(frame_phase_factors(gen0, 0.0) * state.amps, state.amps)
 
-    def test_frame_phase_factors_diagonal(self, params12):
+    def test_frame_phase_factors_diagonal(self, gen0):
         t = 2.5
-        factors = frame_phase_factors(params12, t)
+        factors = frame_phase_factors(gen0, t)
         state = superposition_state(EQ21_AMPS)
         assert np.max(np.abs(np.diag(factors) @ state.amps - factors * state.amps)) < 1e-15
 
-    def test_frame_phase_factors_broadcast_over_times(self, params12):
+    def test_frame_phase_factors_broadcast_over_times(self, gen0):
         ts = np.array([0.0, 0.731, 2.5, 31.4])
-        rows = frame_phase_factors(params12, ts[:, None])
+        rows = frame_phase_factors(gen0, ts[:, None])
         assert rows.shape == (4, 4)
         for t, row in zip(ts, rows):
-            assert np.array_equal(row, frame_phase_factors(params12, t))
+            assert np.array_equal(row, frame_phase_factors(gen0, t))
 
     def test_negative_time_rejected(self, gen12):
         with pytest.raises(ValueError, match="duration must be finite and >= 0"):
