@@ -22,8 +22,9 @@ OUT_DIR = Path("demo_output")
 OUT_DIR.mkdir(exist_ok=True)
 
 # one parameter point: omega1, omega2, J, carrier, a1, a2, diagonalized once
-gen = Generator(500.0, 100.0, 5.0, 95.0, 0.5, 0.1)
-print("system: omega1=500, omega2=100, J=5  ->  conditional line at", gen.omega2 - gen.coupling_j)
+omega1, omega2, coupling_j = 500.0, 100.0, 5.0
+gen = Generator(omega1, omega2, coupling_j, 95.0, 0.5, 0.1)
+print("system: omega1=500, omega2=100, J=5  ->  conditional line at", omega2 - coupling_j)
 
 tau = gen.pi_duration()
 print(f"calibrated pi-pulse duration: {tau:.9f}  (nominal pi/a2 = {np.pi / 0.1:.9f})")

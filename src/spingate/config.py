@@ -84,11 +84,11 @@ class RunConfig:
     config line, a preset, a flag and a direct call agree: numbers may come
     as text, 'auto' (or None) sets `carrier` to omega2 - J and leaves
     `duration` None (pi-timed when the scenario runs), the five required
-    keys may not be None, and every set key meets `core.check_param`.  A
-    failure raises `ConfigError` naming the key.  `initial` keeps its
-    spelling ('digital:11', 'eq21', or the amplitude list) so emitted
-    configs reload to an equal RunConfig; it is parsed once, here, and
-    `initial_state` returns the state.
+    keys and `frame` may not be None, and every set key meets
+    `core.check_param`.  A failure raises `ConfigError` naming the key.
+    `initial` keeps its spelling ('digital:11', 'eq21', or the amplitude
+    list) so emitted configs reload to an equal RunConfig; it is parsed
+    once, here, and `initial_state` returns the state.
     """
 
     omega1: float
@@ -115,7 +115,7 @@ class RunConfig:
                 value = None
             if key == "carrier" and value is None:
                 value = self.omega2 - self.coupling_j
-            if value is not None:
+            if value is not None or key == "frame":  # frame has no unset value
                 try:
                     value = self._checked(key, value)
                 except ValueError as exc:

@@ -9,7 +9,7 @@ are dimensionless angular frequencies (hbar = 1); times are their inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, pi, remainder
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ __all__ = [
 BASIS_LABELS = ("00", "01", "10", "11")
 BASIS_INDEX = {label: i for i, label in enumerate(BASIS_LABELS)}
 
-#: default tolerance on | ||amps||^2 - 1 | for states accepted as physical
+#: tolerance on | ||amps||^2 - 1 | for states accepted as physical
 NORM_TOL = 1e-9
 
 class CalibrationError(RuntimeError):
@@ -97,11 +97,9 @@ def check_param(name: str, value) -> None:
 
 
 def wrap_angle(phi: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
-    wrapped = (phi + np.pi) % (2.0 * np.pi) - np.pi
-    if wrapped <= -np.pi:
-        wrapped = np.pi
-    return float(wrapped)
+    """Reduce a finite angle to (-pi, pi] by IEEE remainder, which rounds nothing."""
+    wrapped = remainder(phi, 2.0 * pi)
+    return pi if wrapped == -pi else wrapped
 
 
 @dataclass(frozen=True)
@@ -154,11 +152,10 @@ class QState:
     """Four complex amplitudes over the (00, 01, 10, 11) basis.
 
     Instances are immutable; the amplitude array is copied in and marked
-    read-only.  Construction validates normalization to `norm_tol`.
+    read-only.  Construction validates normalization to 1e-9.
     """
 
     amps: np.ndarray
-    norm_tol: float = field(default=NORM_TOL, compare=False)
 
     def __post_init__(self):
         amps = np.array(self.amps, dtype=complex).reshape(-1)
@@ -167,10 +164,8 @@ class QState:
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > self.norm_tol:
-            raise ValueError(
-                f"state norm^2 = {norm2!r} deviates from 1 by more than {self.norm_tol}"
-            )
+        if abs(norm2 - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm^2 = {norm2!r} deviates from 1 by more than {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -214,18 +209,20 @@ def digital_state(label: str) -> QState:
 def superposition_state(amps: Sequence[complex], normalize: bool = False) -> QState:
     """Validated superposition over the four basis states.
 
-    With `normalize=True` the amplitudes are rescaled by 1/||amps||; without
-    it, vectors whose squared norm deviates from 1 by more than the default
-    tolerance are rejected with the measured norm in the message.
+    With `normalize=True` the amplitudes are divided by their largest modulus,
+    so squaring neither underflows nor overflows, then by their norm; without
+    it, vectors whose squared norm deviates from 1 by more than 1e-9 are
+    rejected with the measured norm in the message.
     """
     arr = np.array(amps, dtype=complex).reshape(-1)
     if arr.shape != (4,):
         raise ValueError(f"need exactly 4 amplitudes, got shape {np.shape(amps)}")
-    norm2 = float(np.sum(np.abs(arr) ** 2))
-    if norm2 == 0.0:
+    peak = float(np.max(np.abs(arr)))
+    if peak == 0.0:
         raise ValueError("zero vector is not a valid state")
     if normalize:
-        arr = arr / np.sqrt(norm2)
+        arr = arr / peak
+        arr = arr / np.sqrt(np.sum(np.abs(arr) ** 2))
     return QState(arr)
 
 

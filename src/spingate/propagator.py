@@ -68,7 +68,7 @@ class Generator:
     does not enter B, so every quantity of the point (states, time series,
     the gate, the pi-pulse transfer and its timing, the pure-CN objective)
     follows in closed form from the eigenvalues `lam` and the orthonormal
-    eigenvectors `v` (columns).  `matrix_b`, `lam` and `v` are read-only.
+    eigenvectors `v` (columns).  It keeps only `matrix_b`, `lam` and `v`, read-only.
 
     Structure (basis order 00, 01, 10, 11), with the carrier's detuning
     delta = carrier - (omega2 - J):
@@ -79,7 +79,7 @@ class Generator:
         B[11,11] = +2 delta                               B[10,11] = B[11,10] = a2
     """
 
-    __slots__ = ("omega1", "omega2", "coupling_j", "carrier", "a1", "a2", "matrix_b", "lam", "v")
+    __slots__ = ("matrix_b", "lam", "v")
 
     def __init__(
         self, omega1: float, omega2: float, coupling_j: float, carrier: float, a1: float, a2: float
@@ -111,8 +111,6 @@ class Generator:
         b.setflags(False)
         lam.setflags(False)
         v.setflags(False)
-        self.omega1, self.omega2, self.coupling_j = omega1, omega2, coupling_j
-        self.carrier, self.a1, self.a2 = carrier, a1, a2
         self.matrix_b, self.lam, self.v = b, lam, v
 
     def gate(self, tau: float, frame: str = "raw") -> np.ndarray:
@@ -163,10 +161,11 @@ class Generator:
         ValueError
             If a2 is not positive (no resonant drive, no pi condition).
         """
-        if self.a2 <= 0:
+        a2 = float(self.matrix_b[0, 1])
+        if a2 <= 0:
             raise ValueError("pi-pulse calibration requires a2 > 0")
-        # B[11,11] = 2 delta
-        tau_nominal = np.pi / hypot(self.a2, 0.5 * float(self.matrix_b[3, 3]))
+        # B[00,01] = a2 and B[11,11] = 2 delta
+        tau_nominal = np.pi / hypot(a2, 0.5 * float(self.matrix_b[3, 3]))
         lo, hi = _PI_BRACKET[0] * tau_nominal, _PI_BRACKET[1] * tau_nominal
         tol = _PI_REL_TOL * tau_nominal
 
@@ -251,7 +250,7 @@ def build_generator(params: SystemParams, pulse: PulseSpec) -> Generator:
     )
 
 
-def evolve_rk4(state: QState, gen: Generator, t: float, dt: float) -> QState:
+def evolve_rk4(state: QState, gen: Generator, t: float, dt: float) -> np.ndarray:
     """Classical 4th-order Runge-Kutta solution of dc/dt = (i/2) B c.
 
     Independent cross-check for `Generator.gate`; global error is O(dt^4).
@@ -264,7 +263,9 @@ def evolve_rk4(state: QState, gen: Generator, t: float, dt: float) -> QState:
     identity) and raised to the number of steps by binary exponentiation,
     which reproduces the stepped iteration to rounding accuracy.
 
-    `dt` is rounded to the nearest exact subdivision of t.
+    `dt` is rounded to the nearest exact subdivision of t.  Returns the
+    amplitude vector, as `gen.gate(t) @ state.amps` does; raises ValueError
+    if its squared norm is off 1 by more than 1e-3 (a step too coarse).
     """
     if dt <= 0 or dt > t:
         raise ValueError(f"need 0 < dt <= t, got dt={dt}, t={t}")
@@ -278,9 +279,11 @@ def evolve_rk4(state: QState, gen: Generator, t: float, dt: float) -> QState:
     k4 = a @ (eye + h * k3)
     step = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     evolved = np.linalg.matrix_power(step, n) @ state.amps
-    # RK4 is not exactly unitary; renormalization would hide integration
-    # error, so the raw vector is validated with a loose tolerance instead.
-    return QState(evolved, norm_tol=1e-3)
+    # RK4 is not exactly unitary, and renormalizing would hide integration error
+    norm2 = float(np.sum(np.abs(evolved) ** 2))
+    if not abs(norm2 - 1.0) <= 1e-3:
+        raise ValueError(f"RK4 state norm^2 = {norm2!r} deviates from 1 by more than 0.001")
+    return evolved
 
 
 def frame_phase_factors(gen: Generator, t: float | np.ndarray) -> np.ndarray:

@@ -259,7 +259,7 @@ def test_criterion_6_numerical_soundness(params12, pulse12, tau12):
     with pytest.raises(ValueError):
         evolve_rk4(state, gen, tau12, tau12 / 1e4)
     exact = gen.gate(tau12) @ state.amps
-    rk4_dev = float(np.max(np.abs(evolve_rk4(state, gen, tau12, tau12 / 1e7).amps - exact)))
+    rk4_dev = float(np.max(np.abs(evolve_rk4(state, gen, tau12, tau12 / 1e7) - exact)))
 
     pulse_dec = PulseSpec(carrier=95.0, a1=0.0, a2=0.1, duration=0.0)
     gen_dec = build_generator(params12, pulse_dec)

@@ -279,8 +279,12 @@ class TestLeanSearchEvaluation:
         points = []
 
         class Recording(calibrate.Generator):
+            def __init__(self, *point):
+                super().__init__(*point)
+                self.point = point
+
             def objective(self, tau):
-                points.append((self.omega1, self.omega2, self.coupling_j, self.a1, self.a2, tau))
+                points.append((*self.point, tau))
                 return super().objective(tau)
 
         monkeypatch.setattr(calibrate, "Generator", Recording)

@@ -196,6 +196,13 @@ class TestOnePath:
             RunConfig(*args)
         assert excinfo.value.key == missing.split(",")[0]
 
+    def test_none_frame_rejected(self):
+        # emit_config drops a None value, so an unchecked None frame would not reload
+        message = r"^frame must be 'raw' or 'primed', got None$"
+        with pytest.raises(ConfigError, match=message) as excinfo:
+            RunConfig(500.0, 100.0, 5.0, None, 0.5, 0.1, frame=None)
+        assert excinfo.value.key == "frame"
+
 
 class TestInitialState:
     def test_digital(self):

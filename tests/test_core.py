@@ -69,6 +69,12 @@ class TestDigitalState:
             assert BASIS_LABELS[idx] == label
 
 
+_unit4 = st.lists(
+    st.complex_numbers(min_magnitude=0, max_magnitude=1, allow_nan=False, allow_infinity=False),
+    min_size=4, max_size=4,
+).filter(lambda amps: sum(abs(a) ** 2 for a in amps) > 1e-6)
+
+
 class TestSuperpositionState:
     def test_benchmark_superposition_accepted(self):
         state = superposition_state(EQ21_AMPS)
@@ -87,6 +93,25 @@ class TestSuperpositionState:
         state = superposition_state([2, 0, 0, 0], normalize=True)
         assert np.allclose(state.amps, [1, 0, 0, 0])
 
+    @pytest.mark.parametrize(
+        "amps, expected",
+        [([1e-200, 0, 0, 0], [1, 0, 0, 0]),
+         ([3e-170, 4e-170, 0, 0], [0.6, 0.8, 0, 0]),
+         ([1e200, 0, 0, 0], [1, 0, 0, 0])],
+        ids=["tiny", "tiny-pair", "huge"],
+    )
+    def test_normalization_of_tiny_and_huge_vectors(self, amps, expected):
+        # |a|^2 underflows to 0 or overflows to inf unless a is scaled first
+        state = superposition_state(amps, normalize=True)
+        assert np.max(np.abs(state.amps - expected)) <= 1e-15
+
+    @given(amps=_unit4, exponent=st.floats(-300.0, 300.0))
+    def test_normalization_is_scale_free(self, amps, exponent):
+        direction = np.array(amps, dtype=complex)
+        reference = direction / np.linalg.norm(direction)
+        state = superposition_state(direction * 10.0**exponent, normalize=True)
+        assert np.max(np.abs(state.amps - reference)) <= 1e-15
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero vector"):
             superposition_state([0, 0, 0, 0])
@@ -98,12 +123,6 @@ class TestSuperpositionState:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             superposition_state([1, 0, 0])
-
-
-_unit4 = st.lists(
-    st.complex_numbers(min_magnitude=0, max_magnitude=1, allow_nan=False, allow_infinity=False),
-    min_size=4, max_size=4,
-).filter(lambda amps: sum(abs(a) ** 2 for a in amps) > 1e-6)
 
 
 class TestQState:

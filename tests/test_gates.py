@@ -3,7 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spingate import (
@@ -175,6 +175,16 @@ class TestExtractGcnPhases:
         assert excinfo.value.indices == (2, 2)
 
     @given(gate=_leaky_gcn())
+    # drawn by --hypothesis-seed=8: np.angle and math.atan2 an ulp apart at a phase near
+    # pi put the difference near 5 rad, where wrapping by (phi + pi) % 2 pi - pi rounds twice
+    @example(gate=np.array([
+        [-0.41614443743059953 - 0.9092886260886772j, 0,
+         0.0014576083338651846 - 0.003984600266103607j, 0],
+        [0, 1, 0, 0],
+        [0, 0, 0, 1],
+        [0.002565376366144032 - 0.003379423831900316j, 0,
+         -0.989983794787411 + 0.1411172717883304j, 0],
+    ]))
     @settings(max_examples=200, deadline=None)
     def test_matches_numpy_readout(self, gate):
         try:

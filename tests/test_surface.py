@@ -13,7 +13,7 @@ import spingate
 import spingate.cli
 import spingate.config
 import spingate.propagator
-from spingate import Generator, SearchSpec, calibrate_pi_duration, extract_gcn_phases
+from spingate import Generator, QState, SearchSpec, calibrate_pi_duration, extract_gcn_phases
 from spingate.config import RunConfig
 from spingate.core import TimeSeries
 
@@ -47,6 +47,10 @@ def test_public_surface_is_pinned():
         ("omega1", empty), ("omega2", empty), ("coupling_j", empty), ("carrier", empty),
         ("a1", empty), ("a2", empty),
     ]
+    # a point keeps its eigensystem and B, not the inputs B was built from
+    assert Generator.__slots__ == ("matrix_b", "lam", "v")
+    # one norm tolerance for every state, so a state carries nothing but its amplitudes
+    assert [f.name for f in dataclasses.fields(QState)] == ["amps"]
     # norm is derived from amps, not passed in
     assert _parameters(TimeSeries) == [("t", empty), ("amps", empty)]
     # one field per config key, in the order emit_config writes them
