@@ -209,17 +209,19 @@ def digital_state(label: str) -> QState:
 def superposition_state(amps: Sequence[complex], normalize: bool = False) -> QState:
     """Validated superposition over the four basis states.
 
-    With `normalize=True` the amplitudes are divided by their largest modulus,
-    so squaring neither underflows nor overflows, then by their norm; without
-    it, vectors whose squared norm deviates from 1 by more than 1e-9 are
-    rejected with the measured norm in the message.
+    With `normalize=True` the amplitudes are divided by their largest part (real
+    or imaginary: a modulus can overflow), so squaring neither underflows nor
+    overflows, then by their norm; without it, vectors whose squared norm
+    deviates from 1 by more than 1e-9 are rejected with the measured norm.
     """
     arr = np.array(amps, dtype=complex).reshape(-1)
     if arr.shape != (4,):
         raise ValueError(f"need exactly 4 amplitudes, got shape {np.shape(amps)}")
-    peak = float(np.max(np.abs(arr)))
+    peak = float(np.abs(arr.view(float)).max())
     if peak == 0.0:
         raise ValueError("zero vector is not a valid state")
+    if not peak < inf:
+        raise ValueError("amplitudes must be finite")
     if normalize:
         arr = arr / peak
         arr = arr / np.sqrt(np.sum(np.abs(arr) ** 2))

@@ -41,7 +41,7 @@ __all__ = [
     "run_timeseries",
 ]
 
-#: max-norm unitarity tolerance of every `Generator.gate`: tomography, search and sweep gates
+#: max-norm bound on U^dag U - I of every gate, kept by `Generator`'s eigenvector check
 GATE_UNITARITY_TOL = 1e-8
 
 #: pi-timing search interval and final bracket width, in units of pi / hypot(a2, delta)
@@ -53,9 +53,6 @@ _PI_MIN_TRANSFER = 0.5
 
 # a Python float, so the durations it produces print as plain numbers
 _INV_PHI = float((np.sqrt(5.0) - 1.0) / 2.0)
-
-_EYE4 = np.eye(4)
-_EYE4.setflags(write=False)
 
 
 class Generator:
@@ -69,6 +66,9 @@ class Generator:
     the gate, the pi-pulse transfer and its timing, the pure-CN objective)
     follows in closed form from the eigenvalues `lam` and the orthonormal
     eigenvectors `v` (columns).  It keeps only `matrix_b`, `lam` and `v`, read-only.
+    The one unitarity check is here: max|V V^T - I| <= 1e-9, so f = ||V V^T - I||_2
+    = ||V^T V - I||_2 <= 4e-9, every U^dag U has its eigenvalues in [(1-f)^2, (1+f)^2],
+    and the gate's defect at any tau is at most 2f + f^2 <= 8e-9 plus rounding.
 
     Structure (basis order 00, 01, 10, 11), with the carrier's detuning
     delta = carrier - (omega2 - J):
@@ -107,6 +107,22 @@ class Generator:
         b[2, 3] = b[3, 2] = a2
         # looked up per call, so a wrapper put on numpy.linalg sees every one
         lam, v = np.linalg.eigh(b)
+        # max |V V^T - I| over its 10 distinct entries, in Python floats: half numpy's cost
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = v.tolist()
+        defect = max(
+            abs(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3 - 1.0),
+            abs(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 - 1.0),
+            abs(r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 - 1.0),
+            abs(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3 - 1.0),
+            abs(p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3),
+            abs(p0 * r0 + p1 * r1 + p2 * r2 + p3 * r3),
+            abs(p0 * s0 + p1 * s1 + p2 * s2 + p3 * s3),
+            abs(q0 * r0 + q1 * r1 + q2 * r2 + q3 * r3),
+            abs(q0 * s0 + q1 * s1 + q2 * s2 + q3 * s3),
+            abs(r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3),
+        )
+        if not defect <= GATE_UNITARITY_TOL / 10:
+            raise RuntimeError(f"eigenvectors of B are not orthonormal (defect {defect:.3e})")
         # read-only; the positional form costs a quarter of setflags(write=False)
         b.setflags(False)
         lam.setflags(False)
@@ -114,18 +130,19 @@ class Generator:
         self.matrix_b, self.lam, self.v = b, lam, v
 
     def gate(self, tau: float, frame: str = "raw") -> np.ndarray:
-        """Gate U = exp(i B tau/2) = (V e^{i Lambda tau/2}) V^T, checked unitary to 1e-8.
+        """Gate U = exp(i B tau/2) = (V e^{i Lambda tau/2}) V^T, unitary to 1e-8.
 
         The state at time t is `gate(t, frame) @ amps`, so column j is the
-        pulse-end state of digital input j; "primed" rephases U's rows.
+        pulse-end state of digital input j; "primed" rephases U's rows.  The
+        bound is `Generator`'s; overflowed (nan) phases raise as a nan defect.
         """
         if not (0.0 <= tau < inf and (frame == "raw" or frame == "primed")):
             check_param("duration", tau)
             check_param("frame", frame)
-        gate = (self.v * np.exp(0.5j * self.lam * tau)) @ self.v.T
-        defect = np.abs(gate.conj().T @ gate - _EYE4).max()
-        if not defect <= GATE_UNITARITY_TOL:  # also a nan defect, from overflowed phases
-            raise RuntimeError(f"gate at tau={tau!r} is not unitary (defect {defect:.3e})")
+        phases = np.exp(0.5j * self.lam * tau)
+        if not np.isfinite(phases).all():
+            raise RuntimeError(f"gate at tau={tau!r} is not unitary (defect nan)")
+        gate = (self.v * phases) @ self.v.T
         if frame == "primed":
             gate = frame_phase_factors(self, tau)[:, None] * gate
         return gate
@@ -203,13 +220,24 @@ class Generator:
     def objective(self, tau: float) -> float:
         """Raw-frame infidelity against i * CN at duration tau.
 
-        1 - |tr((i CN)^dag U)| / 4, with the trace written out: (i CN)^dag U
-        has -i times U[0,0], U[1,1], U[3,2], U[2,3] on its diagonal.  It
-        agrees with 1 - `gate_fidelity(U, i CN)` to 1e-15, not to the bit:
-        that one sums all sixteen products of the flattened matrices.
+        1 - |tr((i CN)^dag U)| / 4, the trace being -i (U[0,0] + U[1,1] + U[3,2] + U[2,3])
+        = -i sum_k w_k e^{i lam_k tau/2}, w_k = V[0,k]^2 + V[1,k]^2 + 2 V[2,k] V[3,k]: summed
+        in Python floats as `transfer` is, the gate never built.  It agrees with
+        1 - `gate_fidelity(U, i CN)` to 1e-15, not to the bit (that sums sixteen products).
         """
-        g = self.gate(tau)
-        return 1.0 - float(abs((g[0, 0] + g[1, 1]) + (g[3, 2] + g[2, 3])) / 4.0)
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = self.v.tolist()
+        h0, h1, h2, h3 = (0.5 * self.lam).tolist()
+        # lam ascends, so the outer phases bound the inner; math.cos(inf) raises a bare ValueError
+        if not (0.0 <= tau < inf and -inf < h0 * tau < inf and -inf < h3 * tau < inf):
+            check_param("duration", tau)
+            raise RuntimeError(f"gate at tau={tau!r} is not unitary (defect nan)")
+        w0 = p0 * p0 + q0 * q0 + 2.0 * r0 * s0
+        w1 = p1 * p1 + q1 * q1 + 2.0 * r1 * s1
+        w2 = p2 * p2 + q2 * q2 + 2.0 * r2 * s2
+        w3 = p3 * p3 + q3 * q3 + 2.0 * r3 * s3
+        re = w0 * cos(h0 * tau) + w1 * cos(h1 * tau) + w2 * cos(h2 * tau) + w3 * cos(h3 * tau)
+        im = w0 * sin(h0 * tau) + w1 * sin(h1 * tau) + w2 * sin(h2 * tau) + w3 * sin(h3 * tau)
+        return 1.0 - abs(complex(re, im)) / 4.0
 
     def timeseries(
         self, initial: QState, duration: float, sample_dt: float, frame: str = "primed"

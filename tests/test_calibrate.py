@@ -232,7 +232,7 @@ class TestTunePureCn:
 #: revisits counts as an evaluation but is not scored again.
 SEARCHES = {
     "tie_a1": ("params12", dict(free=("omega1", "a2", "duration"), tie_a1=True), 74, 74),
-    "a2_only": ("params12", dict(free=("a2",)), 921, 654),
+    "a2_only": ("params12", dict(free=("a2",)), 931, 625),
     "untied": ("params12", dict(free=("omega1", "a2", "duration")), 74, 74),
     "duration_only": ("params24", dict(free=("duration",), objective_tol=1e-5), 183, 140),
     "recalibrate": (
@@ -295,10 +295,10 @@ class TestLeanSearchEvaluation:
     def test_scored_points_are_kept_per_search(self, params12, pulse12, eigh_calls):
         spec = SearchSpec(free=("a2",))
         first = tune_pure_cn(params12, pulse12, spec)
-        assert len(eigh_calls) == 654
+        assert len(eigh_calls) == 625
         eigh_calls.clear()
         assert tune_pure_cn(params12, pulse12, spec) == first
-        assert len(eigh_calls) == 654
+        assert len(eigh_calls) == 625
 
     def test_point_outside_field_ranges_raises_constructor_error(self, params12, pulse12):
         # a window of 2 reaches a2 = 0.1 - 2 * 0.1 = -0.1
@@ -337,7 +337,7 @@ def a2_only_budgets(params12, pulse12, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(calibrate, "_nelder_mead", recorded)
         tune_pure_cn(params12, pulse12, SearchSpec(free=("a2",)))
-    assert starts[:3] == [0, 169, 270]
+    assert starts[:3] == [0, 169, 269]
     first_run_end, reseed, next_reseed = starts[1] - 65, starts[1], starts[2]
     budgets = {
         "initial_simplex_1": 1,

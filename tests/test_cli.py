@@ -371,9 +371,9 @@ class TestCalibrate:
         )
         assert code == 1
         values, _ = read_report(out)
-        assert values["evaluations"] == "921"
-        # 654 distinct points, and one more for the pi timing of the 'auto' duration
-        assert len(eigh_calls) == 655
+        assert values["evaluations"] == "931"
+        # 625 distinct points, and one more for the pi timing of the 'auto' duration
+        assert len(eigh_calls) == 626
 
     def test_recalibrated_duration_search(self, tmp_path):
         out = tmp_path / "recal.cfg"
@@ -575,11 +575,10 @@ class TestSweep:
     def test_overflowing_duration_fails_cleanly(self, tmp_path, capsys):
         # the gate's phases overflow to nan, which its unitarity guard rejects
         out = tmp_path / "sweep.csv"
-        with pytest.warns(RuntimeWarning):
-            code = run_cli(
-                "sweep", "--preset", "params24", "--param", "duration",
-                "--min", "0", "--max", "1e308", "--steps", "2", "--out", str(out),
-            )
+        code = run_cli(
+            "sweep", "--preset", "params24", "--param", "duration",
+            "--min", "0", "--max", "1e308", "--steps", "2", "--out", str(out),
+        )
         assert code == 1
         assert capsys.readouterr().err == "error: gate at tau=1e+308 is not unitary (defect nan)\n"
         assert not out.exists()

@@ -112,6 +112,19 @@ class TestSuperpositionState:
         state = superposition_state(direction * 10.0**exponent, normalize=True)
         assert np.max(np.abs(state.amps - reference)) <= 1e-15
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_nonfinite_amplitude_rejected(self, bad, normalize):
+        # normalizing must not divide by the non-finite peak first: under the suite's
+        # warnings-as-errors that division escaped as a RuntimeWarning
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            superposition_state([bad, 0, 0, 0], normalize=normalize)
+
+    def test_normalization_of_amplitude_whose_modulus_overflows(self):
+        # |1.7e308 (1 + i)| is above the largest float, although both parts are finite
+        state = superposition_state([1.7e308 + 1.7e308j, 0, 0, 0], normalize=True)
+        assert np.max(np.abs(state.amps - [(1 + 1j) / np.sqrt(2), 0, 0, 0])) <= 1e-15
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero vector"):
             superposition_state([0, 0, 0, 0])

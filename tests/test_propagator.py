@@ -1,5 +1,4 @@
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +16,7 @@ from spingate import (
     PulseSpec,
     SystemParams,
     build_generator,
+    calibrate_pi_duration,
     digital_state,
     evolve_rk4,
     frame_phase_factors,
@@ -357,6 +357,22 @@ class TestSpectralKernel:
         tau = fraction * np.pi / a2
         assert abs(gen.transfer(tau) - _numpy_transfer(gen, tau)) <= 1e-15
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        point=_POINTS,
+        detuning=st.floats(-0.999, 0.999),  # delta / a2
+        fraction=st.floats(0.0, 1.0),  # tau / (1e4 pi / a2)
+    )
+    def test_objective_matches_gate_readout(self, point, detuning, fraction):
+        # the weighted phase sum against the four entries of the gate it stands for
+        omega1, omega2, j, a1, ratio = point
+        a2 = ratio * j
+        gen = Generator(omega1, omega2, j, omega2 - j + detuning * a2, a1, a2)
+        tau = fraction * 1e4 * np.pi / a2
+        g = gen.gate(tau)
+        readout = 1.0 - abs(g[0, 0] + g[1, 1] + g[3, 2] + g[2, 3]) / 4.0
+        assert abs(gen.objective(tau) - readout) <= 1e-15
+
     @settings(max_examples=50, deadline=None)
     @given(point=_POINTS)
     def test_pi_duration_matches_numpy_golden_section(self, point):
@@ -503,21 +519,40 @@ class TestUnitarityGuard:
         with pytest.warns(RuntimeWarning), pytest.raises(RuntimeError, match=message):
             gen12.gate(1e308)
 
-    def test_skewed_eigenvectors_raise_with_the_defect(self, monkeypatch, tau12):
+    @staticmethod
+    def _skew(monkeypatch, scale):
+        """Make every `eigh` return its eigenvectors times `scale`."""
         original = np.linalg.eigh
 
         def skewed(b):
             lam, v = original(b)
-            return lam, v * (1.0 + 1e-6)
+            return lam, v * scale
 
         monkeypatch.setattr(np.linalg, "eigh", skewed)
+
+    def test_skewed_eigenvectors_raise_with_the_defect(self, monkeypatch, params12):
+        self._skew(monkeypatch, 1.0 + 1e-6)
+        # V V^T scales by (1 + 1e-6)^2, so V V^T - I = ((1 + 1e-6)^2 - 1) I: defect 2.000e-06
+        defect = (1.0 + 1e-6) ** 2 - 1.0
+        message = rf"^eigenvectors of B are not orthonormal \(defect {defect:.3e}\)$"
+        with pytest.raises(RuntimeError, match=message):
+            Generator(500.0, 100.0, 5.0, 95.0, 0.5, 0.1)
+        # pi timing has no guard of its own: it cannot run on these eigenvectors
+        with pytest.raises(RuntimeError, match=message):
+            calibrate_pi_duration(params12, PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0))
+
+    def test_eigenvector_bound_keeps_every_gate_unitary(self, monkeypatch):
+        # V (1 + s) has defect (1 + s)^2 - 1 ~ 2s: 9.8e-10 builds, 1.2e-9 does not
+        self._skew(monkeypatch, 1.0 + 4.9e-10)
         gen = Generator(500.0, 100.0, 5.0, 95.0, 0.5, 0.1)
-        # U scales by (1 + 1e-6)^2, so U^dag U - I = ((1 + 1e-6)^4 - 1) I: defect 4.000e-06
-        defect = (1.0 + 1e-6) ** 4 - 1.0
-        message = rf"^gate at tau={re.escape(repr(tau12))} is not unitary \(defect {defect:.3e}\)$"
-        for evaluate in (gen.gate, lambda tau: gen.gate(tau, "primed"), gen.objective):
-            with pytest.raises(RuntimeError, match=message):
-                evaluate(tau12)
+        rng = np.random.default_rng(20261020)
+        for tau in rng.uniform(0.0, 1e4 * gen.pi_duration(), 50).tolist():
+            gate = gen.gate(tau)
+            assert np.abs(gate.conj().T @ gate - np.eye(4)).max() <= 1e-8
+        monkeypatch.undo()  # so the next scale applies to eigh's own eigenvectors
+        self._skew(monkeypatch, 1.0 + 6e-10)
+        with pytest.raises(RuntimeError, match="^eigenvectors of B are not orthonormal"):
+            Generator(500.0, 100.0, 5.0, 95.0, 0.5, 0.1)
 
 
 class TestEvolveRk4:
