@@ -7,7 +7,11 @@ misaligned, and no amplitude change alone can fix that: the phases are set
 by frequencies and duration.  Aligning all four (up to one overall factor
 i) takes small joint shifts of omega1, a2 and the duration.  This script
 shows the failure of the amplitude-only search, the success of the
-three-parameter search, and the phase-sensitivity of the duration.
+three-parameter search, and the phase-sensitivity of the duration.  Both
+searches are Levenberg-Marquardt runs on the gate's exact derivatives, read
+off each point's one eigensystem: the three-parameter search lands in 6
+evaluations, and the amplitude-only one stalls, scans a 65-point grid, stalls
+again and stops after 118.
 
 Run from the repository root:  python3 demos/04_pure_cn_search.py
 """

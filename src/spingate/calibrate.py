@@ -12,11 +12,11 @@ the free-evolution phases of c00 and c01 wind at hundreds of radians per
 unit time, so a pulse that swaps the |10>, |11> amplitudes cleanly still
 leaves the gate phases misaligned.  Aligning all four requires small joint
 shifts of the system and pulse parameters; `tune_pure_cn` performs that
-search with a derivative-free Nelder-Mead simplex, deterministic by
-construction (fixed initial simplex, deterministic restarts, no
-randomness).  The simplex method is implemented here, move for move as in
-`scipy.optimize.minimize(method="Nelder-Mead")`, so the package needs only
-numpy at run time.
+search by Levenberg-Marquardt on the gate's exact derivatives, which the one
+eigensystem of each point gives in closed form (the propagator-gradient idea
+of GRAPE, Khaneja et al., J. Magn. Reson. 172, 296, 2005).  It is
+deterministic (fixed start, fixed damping schedule, one fixed grid, no
+randomness) and needs only numpy at run time.
 """
 
 from __future__ import annotations
@@ -39,6 +39,15 @@ __all__ = [
 ]
 
 _FREE_ORDER = ("omega1", "a2", "duration")
+
+#: dB/d omega1 and the a2 and a1 drive patterns of B, and CN (basis order 00, 01, 10, 11)
+_DB_OMEGA1 = np.diag([2.0, 2.0, 0.0, 0.0])
+_DB_A2, _DB_A1, _CN = np.eye(4)[[1, 0, 3, 2]], np.eye(4)[[2, 3, 0, 1]], np.eye(4)[[0, 1, 3, 2]]
+
+#: Levenberg-Marquardt damping: start, growth on a rejected step, shrink on an accepted one
+_MU_START, _MU_UP, _MU_DOWN = 1e-3, 4.0, 3.0
+#: a run ends past this damping, or at a relative decrease of at most _MIN_REL_DECREASE
+_MU_MAX, _MIN_REL_DECREASE = 1e6, 1e-13
 
 
 def calibrate_pi_duration(params: SystemParams, pulse_template: PulseSpec) -> float:
@@ -84,8 +93,7 @@ class SearchSpec:
         `free`: a searched duration cannot also be re-timed.
     max_evaluations
         Budget of objective evaluations (duration recalibrations not
-        counted).  A point the search revisits counts again, though its
-        value is looked up, not recomputed.
+        counted); every scored point counts, a revisited one too.
     objective_tol
         The search is flagged converged once the best objective is at or
         below this value.
@@ -141,24 +149,27 @@ class TuneResult:
 
 
 def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> TuneResult:
-    """Nelder-Mead search for parameters minimizing `pure_cn_objective`.
+    """Levenberg-Marquardt search for parameters minimizing `pure_cn_objective`.
 
     The search runs in coordinates normalized to the bounds box (each free
-    parameter mapped to [-1, 1] over its window) and never evaluates
-    outside the box.  The initial simplex is the starting point plus one
-    vertex per coordinate displaced by +0.25 percent of that coordinate's
-    starting value.  If the simplex converges without reaching
-    `objective_tol` and budget remains, the search reseeds
-    deterministically: first from the best point of a fixed coarse grid
-    over the box, then from progressively tighter simplexes around the best
-    point so far.  `max_evaluations` counts every evaluation, restarts and
-    grid included.  Exhausting the budget is not an error; the result is
-    returned flagged as non-converged.  A point outside the field ranges
-    (a window reaching a2 < 0, say) raises the `ValueError` of the
-    `Generator` or gate that scores it.  Each distinct point is diagonalized
-    once per search: the simplex often comes back to a point it has already
-    scored, and then the value kept for it is returned, still counted as an
-    evaluation, so the moves and counts are those of rescoring it.
+    parameter mapped to [-1, 1] over its window), clamps every step to the
+    box and never evaluates outside it.  Its least-squares residual is
+    R = U - c i CN over the 16 complex gate entries, with c = e^{i phi} and
+    phi one more coordinate: minimized over phi, |R|^2 is 8 times the
+    objective, so a step is accepted when the objective falls.  The Jacobian
+    is read off the eigensystem of the point's one `Generator`
+    (`_gate_derivatives`); it chains through a tied a1 and, approximately,
+    through a recalibrated duration.  The damping starts at 1e-3, grows 4x
+    on a rejected step and shrinks 3x on an accepted one; a run ends at
+    `objective_tol`, at a relative decrease of at most 1e-13, past a damping
+    of 1e6 or when a clamped step does not move.  If the first run ends
+    above `objective_tol`, a fixed coarse grid over the box (65, 13^2 or 7^3
+    points) is scored once and a second run starts from its best point.
+    `max_evaluations` counts every scored point; a spent budget is no error,
+    the result is flagged non-converged.  A point outside the field ranges (a
+    window reaching a2 < 0, say) raises the `ValueError` of the `Generator`
+    or gate that scores it.  Consecutive points with the same omega1, a1 and
+    a2 share one `Generator`, so a duration-only search diagonalizes once.
     """
     center = {"omega1": params.omega1, "a2": pulse.a2, "duration": pulse.duration}
     for name in spec.free:
@@ -172,63 +183,73 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     order = spec.free + tuple(n for n in _FREE_ORDER if n not in spec.free)
     fixed = tuple(center[n] for n in order[len(spec.free):])
     pick = operator.itemgetter(*map(order.index, _FREE_ORDER))
+    # the derivatives of the free coordinates, each per unit of its normalized coordinate
+    rows = [_FREE_ORDER.index(n) for n in spec.free]
+    scale = np.array(windows)[:, None, None]
     evaluations, best_val, best_point = 0, np.inf, None
-    scored = {}  # clamped free coordinates -> objective value, for this search only
+    last = [None, None]  # (omega1, a1, a2) of the last scored point, and its Generator
 
-    def objective(z) -> float:
-        # scored from plain numbers: no dataclass or dict per point, one Generator, one gate
+    def evaluate(z: tuple) -> tuple:
+        """Objective at box point z, and the (Generator, point) the model there reads."""
         nonlocal evaluations, best_val, best_point
         if evaluations == spec.max_evaluations:
             raise _BudgetSpent
-        # the free coordinates, clamped to the box: a conditional costs less than min(max())
-        point = tuple([
-            c + (-w if zi < -1.0 else w if zi > 1.0 else zi * w)
-            for zi, c, w in zip(z, centers, windows)
-        ])
-        value = scored.get(point)
-        if value is not None:
-            # a revisit counts against the budget, but cannot be a new best
-            evaluations += 1
-            return value
-        omega1, a2, duration = pick(point + fixed)
+        free = tuple(c + zi * w for zi, c, w in zip(z, centers, windows))
+        omega1, a2, duration = pick(free + fixed)
         a1 = a2 * omega1 / omega2 if spec.tie_a1 else pulse.a1
-        gen = Generator(omega1, omega2, coupling_j, carrier, a1, a2)
+        if last[0] != (omega1, a1, a2):
+            last[:] = (omega1, a1, a2), Generator(omega1, omega2, coupling_j, carrier, a1, a2)
+        gen = last[1]
         if spec.recalibrate_duration:
             duration = gen.pi_duration()
-        value = scored[point] = gen.objective(duration)
+        value = gen.objective(duration)
         evaluations += 1
+        point = dict(omega1=omega1, a1=a1, a2=a2, duration=duration)
         if value < best_val:
-            best_val, best_point = value, dict(omega1=omega1, a1=a1, a2=a2, duration=duration)
-        return value
+            best_val, best_point = value, point
+        return value, (gen, point)
 
-    def done() -> bool:
-        return best_val <= spec.objective_tol
+    def model(gen: Generator, point: dict) -> tuple:
+        """J^T J and J^T R over (z, phi) at phi's best value, all in the eigenbasis of `gen`."""
+        tau, a2 = point["duration"], point["a2"]
+        da1 = (a2 / omega2, point["omega1"] / omega2) if spec.tie_a1 else (0.0, 0.0)
+        derivatives = _gate_derivatives(gen, tau, da1, spec.recalibrate_duration)
+        residual, d_phi = _residual(gen, tau)
+        jac = np.concatenate([derivatives[rows] * scale, [d_phi]]).reshape(len(rows) + 1, 16)
+        return (jac.conj() @ jac.T).real, (jac.conj() @ residual.ravel()).real
 
-    def simplex(z: list[float], steps: list[float]) -> list[list[float]]:
-        """z and one vertex per coordinate k, moved by steps[k] along k."""
-        return [z] + [
-            [zj + (step if j == k else 0.0) for j, zj in enumerate(z)]
-            for k, step in enumerate(steps)
-        ]
+    def levenberg_marquardt(z: tuple, value: float, at: tuple) -> None:
+        """One damped Gauss-Newton run from box point z, scored `value`."""
+        jtj, jtr = model(*at)
+        mu = _MU_START
+        while value > spec.objective_tol:
+            # Marquardt's scaling; a flat coordinate (every one at tau = 0) takes no step
+            scaling = np.maximum(jtj.diagonal(), 1e-12 * jtj.diagonal().max())
+            step = np.linalg.solve(jtj + mu * np.diag(scaling), -jtr).tolist()
+            trial = tuple(min(max(zi + si, -1.0), 1.0) for zi, si in zip(z, step))
+            if trial == z:
+                return
+            trial_value, trial_at = evaluate(trial)
+            if trial_value < value:
+                stalled = value - trial_value <= _MIN_REL_DECREASE * value
+                z, value, at = trial, trial_value, trial_at
+                if stalled:
+                    return
+                jtj, jtr = model(*at)
+                mu /= _MU_DOWN
+            else:
+                mu *= _MU_UP
+                if mu > _MU_MAX:
+                    return
 
     ndim = len(spec.free)
-    axis = np.linspace(-1.0, 1.0, {1: 65, 2: 13, 3: 7}[ndim]).tolist()
     try:
-        # fixed initial simplex: start plus +0.25%-of-start per coordinate
-        steps = [min(1.0, 0.0025 * abs(c) / w) for c, w in zip(centers, windows)]
-        _nelder_mead(objective, simplex([0.0] * ndim, steps), done)
-        # deterministic reseeding while the tolerance is unmet
-        for stage in range(1, 9):
-            if done():
-                break
-            if stage == 1:
-                for z in itertools.product(axis, repeat=ndim):  # a coarse grid over the box
-                    objective(z)
-            zb = [
-                min(max((best_point[n] - c) / w, -1.0), 1.0)
-                for n, c, w in zip(spec.free, centers, windows)
-            ]
-            _nelder_mead(objective, simplex(zb, [0.02 / stage] * ndim), done)
+        levenberg_marquardt((0.0,) * ndim, *evaluate((0.0,) * ndim))
+        if best_val > spec.objective_tol:
+            axis = np.linspace(-1.0, 1.0, {1: 65, 2: 13, 3: 7}[ndim]).tolist()
+            grid = [(*evaluate(z), z) for z in itertools.product(axis, repeat=ndim)]
+            value, at, z = min(grid, key=operator.itemgetter(0))
+            levenberg_marquardt(z, value, at)
     except _BudgetSpent:
         pass
 
@@ -236,7 +257,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         params=SystemParams(best_point["omega1"], omega2, coupling_j),
         pulse=PulseSpec(carrier, best_point["a1"], best_point["a2"], best_point["duration"]),
         objective=best_val,
-        converged=done(),
+        converged=best_val <= spec.objective_tol,
         evaluations=evaluations,
     )
 
@@ -245,69 +266,41 @@ class _BudgetSpent(Exception):
     """Raised in place of an evaluation past the search budget."""
 
 
-def _nelder_mead(f, simplex, done) -> None:
-    """Minimize f from `simplex` (n+1 vertices of length n) by the Nelder-Mead method.
+def _residual(gen: Generator, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """R = U - c i CN at the phase c that minimizes |R|, and dR/dphi there, each as V^T . V.
 
-    Standard coefficients: reflection 1, expansion 2, outside and inside
-    contraction 1/2, shrink 1/2 (Nelder & Mead, Comput. J. 7, 1965;
-    Lagarias et al., SIAM J. Optim. 9, 1998).  The simplex is sorted after
-    the initial evaluation and after every iteration.  Before each
-    iteration the search stops once the simplex spread is <= 1e-12 and the
-    value spread <= 1e-15; after each completed iteration it stops when
-    `done()` is true.  f is called with a list of floats; it ends the
-    search early by raising.  Every move, tie break and stop matches
-    scipy.optimize.minimize(method="Nelder-Mead") given the same simplex
-    and xatol/fatol, evaluation for evaluation, except where four values
-    tie: the sort here is stable, and numpy's argsort, which scipy uses,
-    is not on every machine.
-
-    A simplex here has at most three coordinates, so it is kept in plain
-    Python floats: numpy's per-call overhead would outweigh the arithmetic.
+    |R|^2 = 8 - 2 |tr((i CN)^dag U)| = 8 `gen.objective(tau)`.  V^T CN V has the
+    objective's weights w_k on its diagonal; the trace is sum_k w_k e^{i lam_k tau/2}.
     """
-    sim = [[float(c) for c in x] for x in simplex]
-    n = len(sim) - 1
-    fsim = [f(x) for x in sim]
-    sim, fsim = _by_value(sim, fsim)
-    while not (
-        max(abs(a - b) for x in sim[1:] for a, b in zip(x, sim[0])) <= 1e-12
-        and max(abs(fsim[0] - fx) for fx in fsim[1:]) <= 1e-15
-    ):
-        # the centroid is summed left to right, as numpy reduces: not with the
-        # built-in sum, which from Python 3.12 compensates and can round differently
-        xbar = list(sim[0])
-        for x in sim[1:-1]:
-            xbar = [a + b for a, b in zip(xbar, x)]
-        xbar = [a / n for a in xbar]
-        worst = sim[-1]
-        xr = [2 * a - b for a, b in zip(xbar, worst)]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:  # inside contraction
-                xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], sim[0])]
-                    fsim[j] = f(sim[j])
-        sim, fsim = _by_value(sim, fsim)
-        if done():
-            return
+    phases = np.exp(0.5j * gen.lam * tau)
+    m = gen.v.T @ _CN @ gen.v
+    s = m.diagonal() @ phases
+    u = s / abs(s) if s else 1.0  # -i c
+    return np.diag(phases) - u * m, -1j * u * m
 
 
-def _by_value(sim: list, fsim: list[float]) -> tuple[list, list[float]]:
-    """Vertices and values sorted by value; the sort is stable, so ties keep vertex order."""
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    return [sim[k] for k in order], [fsim[k] for k in order]
+def _gate_derivatives(
+    gen: Generator, tau: float, da1: tuple = (0.0, 0.0), recalibrated: bool = False
+) -> np.ndarray:
+    """dU/d omega1, dU/d a2 and dU/d tau of U = exp(i B tau/2), each as V^T dU V.
+
+    For a coordinate with dB, dU = V (Phi o V^T dB V) V^T (Daleckii-Krein), where
+    Phi_kl = 2i e^{i(lam_k+lam_l)tau/4} sin((lam_k-lam_l)tau/4) / (lam_k-lam_l): written
+    with sinc, it has no cancellation at a near-degenerate pair and is
+    (i tau/2) e^{i lam_k tau/2} on the diagonal.  dU/d tau is diag(i lam/2 e^{i lam tau/2}).
+    `da1` is (d a1/d omega1, d a1/d a2), nonzero when a1 is tied to a2 omega1/omega2.
+    `recalibrated` adds dU/d tau d tau*/d a2 to dU/d a2, for a pi-timed duration tau*; the
+    slope is that of pi / hypot(a2, delta), -tau a2 / (a2^2 + delta^2), so only approximate.
+    """
+    lam, v = gen.lam, gen.v
+    phi = (
+        0.5j * tau * np.exp(0.25j * tau * np.add.outer(lam, lam))
+        * np.sinc(np.subtract.outer(lam, lam) * (0.25 * tau / np.pi))
+    )
+    d_tau = np.diag(0.5j * lam * np.exp(0.5j * lam * tau))
+    d_b = np.array([_DB_OMEGA1 + da1[0] * _DB_A1, _DB_A2 + da1[1] * _DB_A1])
+    d_omega1, d_a2 = phi * (v.T @ d_b @ v)
+    if recalibrated:
+        a2, delta = float(gen.matrix_b[0, 1]), 0.5 * float(gen.matrix_b[3, 3])  # B[11,11] = 2 delta
+        d_a2 = d_a2 - tau * a2 / (a2 * a2 + delta * delta) * d_tau
+    return np.array([d_omega1, d_a2, d_tau])

@@ -134,14 +134,15 @@ class Generator:
 
         The state at time t is `gate(t, frame) @ amps`, so column j is the
         pulse-end state of digital input j; "primed" rephases U's rows.  The
-        bound is `Generator`'s; overflowed (nan) phases raise as a nan defect.
+        bound is `Generator`'s; phases lam tau/2 that overflow (checked in Python
+        floats, lam ascending, before numpy could warn) raise as a nan defect.
         """
         if not (0.0 <= tau < inf and (frame == "raw" or frame == "primed")):
             check_param("duration", tau)
             check_param("frame", frame)
-        phases = np.exp(0.5j * self.lam * tau)
-        if not np.isfinite(phases).all():
+        if not 0.5 * max(-float(self.lam[0]), float(self.lam[3])) * tau < inf:
             raise RuntimeError(f"gate at tau={tau!r} is not unitary (defect nan)")
+        phases = np.exp(0.5j * self.lam * tau)
         gate = (self.v * phases) @ self.v.T
         if frame == "primed":
             gate = frame_phase_factors(self, tau)[:, None] * gate
@@ -246,6 +247,8 @@ class Generator:
         check_param("duration", duration)
         check_param("sample_dt", sample_dt)
         check_param("frame", frame)
+        if not max(-float(self.lam[0]), float(self.lam[3])) * duration < inf:
+            raise ValueError("times and amplitudes must be finite")  # as TimeSeries would say
         ts = _sample_grid(duration, sample_dt)
         proj = self.v.T @ initial.amps
         amps = (self.v @ (np.exp(0.5j * np.outer(self.lam, ts)) * proj[:, None])).T
@@ -321,9 +324,13 @@ def frame_phase_factors(gen: Generator, t: float | np.ndarray) -> np.ndarray:
     exp(i diag(B) t / 2); the primed frame strips them.  A column of times
     (shape (n, 1)) gives one row of factors per time.
     """
-    # as 1j * rate * t with rate = -B_kk / 2: other orders flip the sign of some zero
-    # parts of the factors, and a primed CSV row prints that sign
-    return np.exp(1j * (-0.5 * gen.matrix_b.diagonal()) * t)
+    rates = -0.5 * gen.matrix_b.diagonal()
+    # in Python floats, before numpy could warn of an overflow; t >= 0, np.max costs 4 us
+    t_max = t if isinstance(t, float) else float(np.max(t))
+    if not max(map(abs, rates.tolist())) * t_max < inf:
+        raise ValueError(f"frame phases overflow at t = {t_max!r}")
+    # 1j * rate * t: other orders flip the sign of some zero parts, which a primed CSV prints
+    return np.exp(1j * rates * t)
 
 
 def _sample_grid(duration: float, sample_dt: float) -> np.ndarray:

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spingate import (
     CalibrationError,
@@ -10,6 +16,7 @@ from spingate import (
     SearchSpec,
     calibrate_pi_duration,
     cn_matrix,
+    SystemParams,
     gate_fidelity,
     pure_cn_objective,
     tomography,
@@ -17,6 +24,8 @@ from spingate import (
 )
 from spingate import calibrate
 from spingate.config import PARAMS24_DURATION
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestCalibratePiDuration:
@@ -211,13 +220,24 @@ class TestTunePureCn:
         again = tune_pure_cn(tuned.params, tuned.pulse, spec)
         assert again.converged
         assert again.objective <= tuned.objective + 1e-9
-        assert again.evaluations <= 60
+        # the start already meets the tolerance: scoring it is the whole search
+        assert again.evaluations == 1
+        assert again == replace(tuned, evaluations=1)
 
     def test_budget_exhaustion_flags_not_converged(self, params12, pulse12):
         spec = SearchSpec(free=("omega1",), max_evaluations=10, objective_tol=1e-12)
         result = tune_pure_cn(params12, pulse12, spec)
         assert not result.converged
-        assert result.evaluations <= 12  # simplex evaluation granularity
+        assert result.evaluations == 10  # every scored point counts, one at a time
+
+    def test_flat_start_ends_without_a_step(self, params12):
+        # at tau = 0 the gate is the identity at every omega1: the objective is flat at 1/2,
+        # so each run stops at its first step, which does not move
+        pulse = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
+        result = tune_pure_cn(params12, pulse, SearchSpec(free=("omega1",)))
+        assert not result.converged
+        assert result.objective == pytest.approx(0.5, abs=1e-15)
+        assert result.evaluations == 1 + 65  # the start, then the grid
 
     def test_zero_duration_start_rejected_when_duration_free(self, params12):
         pulse = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
@@ -226,79 +246,93 @@ class TestTunePureCn:
 
 
 #: search kind -> (start, SearchSpec fields, evaluations the search takes, eigh
-#: calls it makes); the simplex follows the last bit of every objective value, so
-#: a change in any count means the arithmetic of an evaluation changed, not only
-#: its speed.  A search diagonalizes each distinct point once: a point the simplex
-#: revisits counts as an evaluation but is not scored again.
+#: calls it makes, objective it must reach); a change in a count means the
+#: arithmetic of a step changed, not only its speed.  Consecutive points with the
+#: same omega1, a1 and a2 share one Generator, so the duration-only search
+#: diagonalizes once.  The objectives are those the Nelder-Mead search that this
+#: search replaced reached (6.99e-7, 6.81e-7, 6.69e-6, 5.68e-7), and for the
+#: a2-only search that search's 0.2894839332849036 plus 1e-9.
 SEARCHES = {
-    "tie_a1": ("params12", dict(free=("omega1", "a2", "duration"), tie_a1=True), 74, 74),
-    "a2_only": ("params12", dict(free=("a2",)), 931, 625),
-    "untied": ("params12", dict(free=("omega1", "a2", "duration")), 74, 74),
-    "duration_only": ("params24", dict(free=("duration",), objective_tol=1e-5), 183, 140),
+    "tie_a1": ("params12", dict(free=("omega1", "a2", "duration"), tie_a1=True), 6, 6, 6.99e-7),
+    "a2_only": ("params12", dict(free=("a2",)), 118, 118, 0.2894839332849036 + 1e-9),
+    "untied": ("params12", dict(free=("omega1", "a2", "duration")), 6, 6, 6.81e-7),
+    "duration_only": (
+        "params24", dict(free=("duration",), objective_tol=1e-5), 97, 1, 6.69e-6
+    ),
     "recalibrate": (
         "params12",
         dict(free=("omega1", "a2"), tie_a1=True, recalibrate_duration=True),
-        61,
-        61,
+        6,
+        6,
+        5.68e-7,
     ),
 }
 
 
 @pytest.fixture(params=list(SEARCHES))
 def search(request):
-    """(params, start pulse, spec, expected evaluations, expected eigh calls) of one search kind."""
-    start, fields, evaluations, eighs = SEARCHES[request.param]
+    """(params, start pulse, spec, evaluations, eigh calls, objective ceiling) of one kind."""
+    start, fields, evaluations, eighs, ceiling = SEARCHES[request.param]
     if start == "params12":
         params, pulse = request.getfixturevalue("params12"), request.getfixturevalue("pulse12")
     else:
         params = request.getfixturevalue("params24")
         template = request.getfixturevalue("pulse24_template")
         pulse = replace(template, duration=calibrate_pi_duration(params, template))
-    return params, pulse, SearchSpec(**fields), evaluations, eighs
+    return params, pulse, SearchSpec(**fields), evaluations, eighs, ceiling
 
 
 class TestLeanSearchEvaluation:
     def test_objective_equals_public_objective_exactly(self, search):
-        params, pulse, spec, _, _ = search
+        params, pulse, spec, *_ = search
         result = tune_pure_cn(params, pulse, spec)
         assert result.objective == pure_cn_objective(result.params, result.pulse)
 
     def test_evaluation_count_unchanged(self, search):
-        params, pulse, spec, evaluations, _ = search
+        params, pulse, spec, evaluations, *_ = search
         assert tune_pure_cn(params, pulse, spec).evaluations == evaluations
 
+    def test_objective_no_worse_than_pinned(self, search):
+        params, pulse, spec, *_, ceiling = search
+        result = tune_pure_cn(params, pulse, spec)
+        assert result.objective <= ceiling, f"objective {result.objective!r} above {ceiling!r}"
+
     def test_one_eigh_per_evaluation(self, search, eigh_calls):
-        # one per distinct point, so at most one per evaluation
-        params, pulse, spec, _, eighs = search
+        # one per change of omega1, a1 or a2, so at most one per evaluation
+        params, pulse, spec, _, eighs, _ = search
         result = tune_pure_cn(params, pulse, spec)
         assert len(eigh_calls) == eighs
         assert len(eigh_calls) <= result.evaluations
 
-    def test_no_point_is_diagonalized_twice(self, search, monkeypatch):
-        params, pulse, spec, _, eighs = search
-        points = []
+    def test_new_generator_iff_drive_moves(self, search, monkeypatch):
+        params, pulse, spec, evaluations, eighs, _ = search
+        scored = []  # the Generator of every evaluation, in order
 
         class Recording(calibrate.Generator):
-            def __init__(self, *point):
-                super().__init__(*point)
-                self.point = point
+            def __init__(self, omega1, omega2, coupling_j, carrier, a1, a2):
+                super().__init__(omega1, omega2, coupling_j, carrier, a1, a2)
+                self.drive = (omega1, a1, a2)
 
             def objective(self, tau):
-                points.append((*self.point, tau))
+                scored.append(self)
                 return super().objective(tau)
 
         monkeypatch.setattr(calibrate, "Generator", Recording)
         tune_pure_cn(params, pulse, spec)
-        assert len(points) == eighs
-        assert len(set(points)) == len(points)
+        assert len(scored) == evaluations
+        assert len({id(gen) for gen in scored}) == eighs
+        for before, after in zip(scored, scored[1:]):
+            assert (after is before) == (after.drive == before.drive)
 
-    def test_scored_points_are_kept_per_search(self, params12, pulse12, eigh_calls):
-        spec = SearchSpec(free=("a2",))
+    def test_generator_is_kept_per_search(self, params12, pulse12, eigh_calls):
+        # a duration-only search scores every point on one Generator, built anew per search
+        spec = SearchSpec(free=("duration",), max_evaluations=40)
         first = tune_pure_cn(params12, pulse12, spec)
-        assert len(eigh_calls) == 625
+        assert first.evaluations == 40
+        assert len(eigh_calls) == 1
         eigh_calls.clear()
         assert tune_pure_cn(params12, pulse12, spec) == first
-        assert len(eigh_calls) == 625
+        assert len(eigh_calls) == 1
 
     def test_point_outside_field_ranges_raises_constructor_error(self, params12, pulse12):
         # a window of 2 reaches a2 = 0.1 - 2 * 0.1 = -0.1
@@ -312,51 +346,58 @@ class TestLeanSearchEvaluation:
             tune_pure_cn(params12, undriven, spec)
 
 
+@pytest.mark.parametrize("d2", range(-2, 3))
+@pytest.mark.parametrize("d1", range(-2, 3))
+def test_tied_search_converges_around_params12(d1, d2):
+    # the 25 start offsets (omega1, a2) x 1e-4 relative that the benchmark draws from
+    omega1, a2 = 500.0 * (1.0 + 1e-4 * d1), 0.1 * (1.0 + 1e-4 * d2)
+    system = SystemParams(omega1, 100.0, 5.0)
+    template = PulseSpec(carrier=95.0, a1=a2 * omega1 / 100.0, a2=a2, duration=0.0)
+    pulse = replace(template, duration=calibrate_pi_duration(system, template))
+    spec = SearchSpec(free=("omega1", "a2", "duration"), tie_a1=True)
+    result = tune_pure_cn(system, pulse, spec)
+    assert result.converged, result
+    assert result.evaluations <= 6, result
+    assert result.objective == pure_cn_objective(result.params, result.pulse)
+
+
 @pytest.fixture
 def a2_only_budgets(params12, pulse12, monkeypatch):
     """Budgets that end the params12 a2-only search inside each of its stages.
 
-    The stages are found from the unlimited search: the evaluations made
-    before each Nelder-Mead run (its calls of the objective, plus the
-    65-point grid once the first run is over) give where the first run
-    ends, the grid follows it, and the reseeds start after the grid.
-    Evaluations are counted, not eigendecompositions, since a revisited
-    point costs an evaluation but no `eigh`.
+    The stages are found from the a2 of every point the unlimited search
+    scores: the 65-point grid is the one run of the grid's a2 values, the
+    first Levenberg-Marquardt run comes before it and the second after it.
     """
-    evaluations, starts = [0], []
-    nelder_mead = calibrate._nelder_mead
+    scored = []
 
-    def recorded(f, simplex, done):
-        def counted(z):
-            evaluations[0] += 1
-            return f(z)
-
-        starts.append(evaluations[0] + (65 if starts else 0))
-        return nelder_mead(counted, simplex, done)
+    class Recording(calibrate.Generator):
+        def objective(self, tau):
+            scored.append(float(self.matrix_b[0, 1]))  # B[00,01] = a2
+            return super().objective(tau)
 
     with monkeypatch.context() as patch:
-        patch.setattr(calibrate, "_nelder_mead", recorded)
+        patch.setattr(calibrate, "Generator", Recording)
         tune_pure_cn(params12, pulse12, SearchSpec(free=("a2",)))
-    assert starts[:3] == [0, 169, 269]
-    first_run_end, reseed, next_reseed = starts[1] - 65, starts[1], starts[2]
+    window = SearchSpec.rel_window * pulse12.a2
+    grid = [pulse12.a2 + z * window for z in np.linspace(-1.0, 1.0, 65).tolist()]
+    first_run_end = next(k for k in range(len(scored)) if scored[k:k + 65] == grid)
+    second_run_start = first_run_end + 65
     budgets = {
-        "initial_simplex_1": 1,
-        "initial_simplex_2": 2,
+        "start": 1,
         "first_run": first_run_end // 2,
         "grid": first_run_end + 65 // 2,
-        "reseed": (reseed + next_reseed) // 2,
+        "second_run": (second_run_start + len(scored)) // 2,
     }
-    assert 2 < budgets["first_run"] < first_run_end < budgets["grid"] < reseed
-    assert reseed < budgets["reseed"] < next_reseed
+    assert 1 < budgets["first_run"] < first_run_end < budgets["grid"] < second_run_start
+    assert second_run_start < budgets["second_run"] < len(scored)
     return budgets
 
 
 class TestBudget:
     """`max_evaluations` counts every evaluation, whichever stage spends it."""
 
-    @pytest.mark.parametrize(
-        "stage", ["initial_simplex_1", "initial_simplex_2", "first_run", "grid", "reseed"]
-    )
+    @pytest.mark.parametrize("stage", ["start", "first_run", "grid", "second_run"])
     def test_budget_ends_search_in_every_stage(self, params12, pulse12, a2_only_budgets, stage):
         budget = a2_only_budgets[stage]
         spec = SearchSpec(free=("a2",), max_evaluations=budget)
@@ -364,3 +405,142 @@ class TestBudget:
         assert result.evaluations == budget
         assert result.converged is False
         assert result.objective == pure_cn_objective(result.params, result.pulse)
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "import spingate, spingate.cli\n"
+        "from spingate import PulseSpec, SearchSpec, SystemParams, tune_pure_cn\n"
+        "system = SystemParams(500.0, 100.0, 5.0)\n"
+        "pulse = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=31.41592653589793)\n"
+        "result = tune_pure_cn(system, pulse, SearchSpec(free=('duration',), max_evaluations=20))\n"
+        "assert result.evaluations == 20, result\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _central_difference(f, x: float, h: float) -> np.ndarray:
+    """(f(x+h) - f(x-h)) over the step actually taken between the two rounded arguments."""
+    lo, hi = x - h, x + h
+    return (f(hi) - f(lo)) / (hi - lo)
+
+
+class TestGateDerivatives:
+    """`calibrate._gate_derivatives` and `_residual` against `Generator.gate`.
+
+    B is affine in each coordinate, B(x + s) = B(x) + s E, so the n-th
+    derivative of U = exp(i B tau/2) along it has norm at most (tau |E|_2 / 2)^n,
+    and |dU/dtau^n| at most (max|lam| / 2)^n.  A central difference with step h
+    then errs by at most h^2/6 M^3 (M the first-order rate) plus eps_U / h,
+    where eps_U = 16 eps max|lam| tau/2 bounds a gate's rounding (the bound of
+    `TestSpectralKernel`) plus, for omega1 and a2, tau/2 times 8 eps max|B|
+    for rounding B itself.  h minimizes that sum, capped at half the
+    coordinate; the eigenbasis result's own rounding is far below it.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        omega1=st.floats(300.0, 700.0),
+        # down to 1e-6, where the 10/11 pair is near-degenerate
+        log_a2=st.floats(-6.0, -0.3),
+        a1=st.floats(0.0, 1.0),
+        tau=st.floats(1.0, 40.0),
+        tied=st.booleans(),
+    )
+    def test_matches_central_differences(self, omega1, log_a2, a1, tau, tied):
+        a2 = 10.0**log_a2
+        da1 = (a2 / 100.0, omega1 / 100.0) if tied else (0.0, 0.0)
+
+        def gen_at(w1, x2):
+            return Generator(w1, 100.0, 5.0, 95.0, x2 * w1 / 100.0 if tied else a1, x2)
+
+        gen = gen_at(omega1, a2)
+        derivatives = calibrate._gate_derivatives(gen, tau, da1)
+        lam_max = float(np.max(np.abs(gen.lam)))
+        eps_gate = 16.0 * _EPS * lam_max * tau / 2.0
+        eps_b = tau / 2.0 * 8.0 * _EPS * float(np.max(np.abs(gen.matrix_b)))
+        cases = {
+            # name: (rate M, gate rounding, f, x)
+            "omega1": (tau * (2.0 + da1[0]) / 2.0, eps_gate + eps_b,
+                       lambda w: gen_at(w, a2).gate(tau), omega1),
+            "a2": (tau * (1.0 + da1[1]) / 2.0, eps_gate + eps_b,
+                   lambda x: gen_at(omega1, x).gate(tau), a2),
+            "tau": (lam_max / 2.0, eps_gate, gen.gate, tau),
+        }
+        for (name, (rate, eps_u, f, x)), eigen in zip(cases.items(), derivatives):
+            h = min((3.0 * eps_u / rate**3) ** (1.0 / 3.0), x / 2.0)
+            bound = h * h / 6.0 * rate**3 + eps_u / h
+            error = float(np.max(np.abs(gen.v @ eigen @ gen.v.T - _central_difference(f, x, h))))
+            assert error <= bound, f"dU/d{name}: measured {error:.3e} against bound {bound:.3e}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        omega1=st.floats(450.0, 550.0),
+        a2=st.floats(0.05, 0.2),
+        a1=st.floats(0.0, 1.0),
+        tied=st.booleans(),
+    )
+    def test_recalibrated_duration_slope_is_approximate(self, omega1, a2, a1, tied):
+        # with `recalibrated`, dU/d a2 gains dU/d tau times d tau*/d a2, taken from
+        # tau* ~ pi / hypot(a2, delta): -tau a2 / (a2^2 + delta^2), here delta = 0.  The pi
+        # timing also moves with the a1 dressing, whose ripple on the transfer grows like
+        # a1^2; over this box the slope was measured within 0.71 (0.01 + 0.1 a1^2) of
+        # central differences (h = 1e-3 a2) of the pi timing itself
+        def gen_at(x2):
+            return Generator(omega1, 100.0, 5.0, 95.0, x2 * omega1 / 100.0 if tied else a1, x2)
+
+        gen = gen_at(a2)
+        tau = gen.pi_duration()
+        plain = calibrate._gate_derivatives(gen, tau)
+        chained = calibrate._gate_derivatives(gen, tau, recalibrated=True)
+        assert np.array_equal(chained[0], plain[0]) and np.array_equal(chained[2], plain[2])
+        k = int(np.argmax(np.abs(np.diag(plain[2]))))  # dU/d tau is diagonal
+        slope = complex((chained[1] - plain[1])[k, k] / plain[2][k, k]).real
+        assert slope == pytest.approx(-tau / a2, rel=1e-12)
+        measured = _central_difference(lambda x: gen_at(x).pi_duration(), a2, 1e-3 * a2)
+        a1_here = a2 * omega1 / 100.0 if tied else a1
+        error, bound = abs(slope / measured - 1.0), 0.01 + 0.1 * a1_here**2
+        assert error <= bound, f"d tau*/d a2: relative error {error:.3e} against bound {bound:.3e}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        omega1=st.floats(300.0, 700.0),
+        log_a2=st.floats(-6.0, -0.3),
+        a1=st.floats(0.0, 1.0),
+        tau=st.floats(0.0, 60.0),
+    )
+    def test_least_residual_is_eight_objectives(self, omega1, log_a2, a1, tau):
+        # min over phi of |U - e^{i phi} i CN|^2 = 8 - 2 |tr((i CN)^dag U)| = 8 objective.
+        # Both sides are rounded sums of unit-size terms that use V^T V = I: measured
+        # apart by up to 9.8e-15 (not 1e-15), so the bound is 64 eps = 1.4e-14
+        gen = Generator(omega1, 100.0, 5.0, 95.0, a1, 10.0**log_a2)
+        residual, d_phi = calibrate._residual(gen, tau)
+        objective = gen.objective(tau)
+        least = float(np.sum(np.abs(residual) ** 2))
+        error = abs(least - 8.0 * objective)
+        assert error <= 64 * _EPS, f"|R|^2 - 8 objective: {error:.3e} against {64 * _EPS:.3e}"
+        # back in the lab basis it is U - c i CN at c = tr/|tr|, and turning c raises |R|^2
+        u = gen.gate(tau)
+        target = 1j * cn_matrix()
+        trace = np.trace(target.conj().T @ u)
+        c = trace / abs(trace)
+        lab = gen.v @ residual @ gen.v.T
+        # c's direction carries the trace's rounding divided by |tr| (measured below 3.6e-15)
+        assert np.max(np.abs(lab - (u - c * target))) * abs(trace) / 4 <= 1e-14
+        # and dR/dphi = -i c i CN
+        lab_d_phi = gen.v @ d_phi @ gen.v.T
+        assert np.max(np.abs(lab_d_phi - -1j * c * target)) * abs(trace) / 4 <= 1e-14
+        for phi in (-1e-3, 1e-3):
+            turned = u - np.exp(1j * phi) * c * target
+            assert float(np.sum(np.abs(turned) ** 2)) >= least - 64 * _EPS

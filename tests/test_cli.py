@@ -371,9 +371,9 @@ class TestCalibrate:
         )
         assert code == 1
         values, _ = read_report(out)
-        assert values["evaluations"] == "931"
-        # 625 distinct points, and one more for the pi timing of the 'auto' duration
-        assert len(eigh_calls) == 626
+        assert values["evaluations"] == "118"
+        # each point moves a2, and one more for the pi timing of the 'auto' duration
+        assert len(eigh_calls) == 119
 
     def test_recalibrated_duration_search(self, tmp_path):
         out = tmp_path / "recal.cfg"
@@ -645,6 +645,27 @@ class TestSweep:
             "--min", "99", "--max", "101", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(("tomography",), "gate at tau=1e+308 is not unitary (defect nan)"),
+     (("tomography", "--frame", "raw"), "gate at tau=1e+308 is not unitary (defect nan)"),
+     (("simulate", "--initial", "digital:11"), "times and amplitudes must be finite"),
+     (("simulate", "--initial", "digital:11", "--frame", "raw"),
+      "times and amplitudes must be finite")],
+    ids=["tomography-primed", "tomography-raw", "simulate-primed", "simulate-raw"],
+)
+def test_overflowing_phases_print_one_error_line(tmp_path, capsys, argv, message):
+    # the phases overflow; numpy must not warn before the error line (the suite turns a
+    # warning into an exception, so one would fail this test before the assertions)
+    config = tmp_path / "big.cfg"
+    config.write_text("duration = 1e308\nsample_dt = 2e307\n")
+    out = tmp_path / "out.txt"
+    code = run_cli(*argv, "--preset", "params12", "--config", str(config), "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestConfigErrorLines:

@@ -514,10 +514,20 @@ class TestInlineRangeChecks:
 
 class TestUnitarityGuard:
     def test_overflowing_phases_raise_instead_of_returning_nan(self, gen12):
-        # every phase factor is nan, and the guard's comparison has to fail for a nan defect
+        # lam tau / 2 overflows; the check runs on Python floats before numpy could warn
+        # (the suite turns a warning into an error), with the message a nan defect had
         message = r"^gate at tau=1e\+308 is not unitary \(defect nan\)$"
-        with pytest.warns(RuntimeWarning), pytest.raises(RuntimeError, match=message):
-            gen12.gate(1e308)
+        for frame in ("raw", "primed"):
+            with pytest.raises(RuntimeError, match=message):
+                gen12.gate(1e308, frame)
+
+    def test_overflowing_time_series_and_frame_raise_without_warning(self, gen12):
+        with pytest.raises(ValueError, match="^times and amplitudes must be finite$"):
+            gen12.timeseries(digital_state("11"), 1e308, 2e307, "raw")
+        with pytest.raises(ValueError, match=r"^frame phases overflow at t = 1e\+308$"):
+            frame_phase_factors(gen12, np.array([[0.0], [1e308]]))
+        # the largest |B_kk| / 2 is about 410, so 1e305 is still finite
+        assert np.isfinite(frame_phase_factors(gen12, 1e305)).all()
 
     @staticmethod
     def _skew(monkeypatch, scale):
