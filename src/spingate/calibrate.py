@@ -200,8 +200,7 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         if last[0] != (omega1, a1, a2):
             last[:] = (omega1, a1, a2), Generator(omega1, omega2, coupling_j, carrier, a1, a2)
         gen = last[1]
-        if spec.recalibrate_duration:
-            duration = gen.pi_duration()
+        duration = gen.pi_duration() if spec.recalibrate_duration else duration
         value = gen.objective(duration)
         evaluations += 1
         point = dict(omega1=omega1, a1=a1, a2=a2, duration=duration)
@@ -218,38 +217,14 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         jac = np.concatenate([derivatives[rows] * scale, [d_phi]]).reshape(len(rows) + 1, 16)
         return (jac.conj() @ jac.T).real, (jac.conj() @ residual.ravel()).real
 
-    def levenberg_marquardt(z: tuple, value: float, at: tuple) -> None:
-        """One damped Gauss-Newton run from box point z, scored `value`."""
-        jtj, jtr = model(*at)
-        mu = _MU_START
-        while value > spec.objective_tol:
-            # Marquardt's scaling; a flat coordinate (every one at tau = 0) takes no step
-            scaling = np.maximum(jtj.diagonal(), 1e-12 * jtj.diagonal().max())
-            step = np.linalg.solve(jtj + mu * np.diag(scaling), -jtr).tolist()
-            trial = tuple(min(max(zi + si, -1.0), 1.0) for zi, si in zip(z, step))
-            if trial == z:
-                return
-            trial_value, trial_at = evaluate(trial)
-            if trial_value < value:
-                stalled = value - trial_value <= _MIN_REL_DECREASE * value
-                z, value, at = trial, trial_value, trial_at
-                if stalled:
-                    return
-                jtj, jtr = model(*at)
-                mu /= _MU_DOWN
-            else:
-                mu *= _MU_UP
-                if mu > _MU_MAX:
-                    return
-
-    ndim = len(spec.free)
+    ndim, tol = len(spec.free), spec.objective_tol
     try:
-        levenberg_marquardt((0.0,) * ndim, *evaluate((0.0,) * ndim))
-        if best_val > spec.objective_tol:
+        _levenberg_marquardt(evaluate, model, (0.0,) * ndim, *evaluate((0.0,) * ndim), tol)
+        if best_val > tol:
             axis = np.linspace(-1.0, 1.0, {1: 65, 2: 13, 3: 7}[ndim]).tolist()
             grid = [(*evaluate(z), z) for z in itertools.product(axis, repeat=ndim)]
             value, at, z = min(grid, key=operator.itemgetter(0))
-            levenberg_marquardt(z, value, at)
+            _levenberg_marquardt(evaluate, model, z, value, at, tol)
     except _BudgetSpent:
         pass
 
@@ -257,13 +232,38 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         params=SystemParams(best_point["omega1"], omega2, coupling_j),
         pulse=PulseSpec(carrier, best_point["a1"], best_point["a2"], best_point["duration"]),
         objective=best_val,
-        converged=best_val <= spec.objective_tol,
+        converged=best_val <= tol,
         evaluations=evaluations,
     )
 
 
 class _BudgetSpent(Exception):
     """Raised in place of an evaluation past the search budget."""
+
+
+def _levenberg_marquardt(evaluate, model, z: tuple, value: float, at, tol: float) -> None:
+    """Damped Gauss-Newton run in [-1, 1]^n from z, scored `value`: `evaluate(z)` gives
+    (objective, at), `model(*at)` gives (J^T J, J^T R) with z's coordinates first."""
+    jtj, jtr = model(*at)
+    mu = _MU_START
+    while value > tol:
+        # Marquardt's scaling; a flat coordinate (every one at tau = 0) takes no step
+        scaling = np.maximum(jtj.diagonal(), 1e-12 * jtj.diagonal().max())
+        step = np.linalg.solve(jtj + mu * np.diag(scaling), -jtr).tolist()
+        trial = tuple(min(max(zi + si, -1.0), 1.0) for zi, si in zip(z, step))
+        if trial == z:
+            return
+        trial_value, trial_at = evaluate(trial)
+        if trial_value < value:
+            if value - trial_value <= _MIN_REL_DECREASE * value:
+                return
+            z, value, at = trial, trial_value, trial_at
+            jtj, jtr = model(*at)
+            mu /= _MU_DOWN
+        else:
+            mu *= _MU_UP
+            if mu > _MU_MAX:
+                return
 
 
 def _residual(gen: Generator, tau: float) -> tuple[np.ndarray, np.ndarray]:

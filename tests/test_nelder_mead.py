@@ -1,10 +1,15 @@
-"""The in-package Nelder-Mead against scipy's, evaluation for evaluation.
+"""The Levenberg-Marquardt search against scipy's Nelder-Mead as an outside oracle.
 
-`spingate.calibrate._nelder_mead` reproduces
-`scipy.optimize.minimize(method="Nelder-Mead")` given the same initial
-simplex and `xatol=1e-12, fatol=1e-15`, with the budget spent by an
-objective that raises where scipy's `maxfev` stops.  scipy is the oracle
-here only; the package itself must not import it.
+scipy's derivative-free Nelder-Mead, from the same start, finds each
+objective's minimum without reading any Jacobian; the in-package
+Levenberg-Marquardt must reach it too, so a wrong model that stalls the
+damped steps short of the minimum shows here.  Its budget must cut its own
+evaluation sequence and nothing else, and a tolerance must stop it at the
+first point that meets it, after no more evaluations than scipy needs to
+meet it.  Three objectives run the bare `_levenberg_marquardt` on a residual
+given in closed form; pure_cn3d runs `tune_pure_cn` itself (first run, grid
+and second run) on the tied 3-parameter box around params12.  scipy is the
+oracle here only; the package itself must not import it.
 """
 
 import os
@@ -16,51 +21,72 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from spingate import PulseSpec, SystemParams, pure_cn_objective
-from spingate.calibrate import _BudgetSpent, _nelder_mead
+from spingate import PulseSpec, SearchSpec, SystemParams, pure_cn_objective, tune_pure_cn
+from spingate import calibrate
+from spingate.calibrate import _BudgetSpent, _levenberg_marquardt
 
 ROOT = Path(__file__).resolve().parents[1]
 
 UNLIMITED = 10**6
+#: evaluations past which a run counts as runaway: every run here ends below 500
+RUNAWAY = 5000
+#: the smallest tolerance a search accepts: no run is stopped by it before its minimum
+NO_TOL = float(np.finfo(float).tiny)
 
 
 class Recorder:
     """Objective wrapper that keeps every evaluated point and the best value.
 
     Like `tune_pure_cn`'s objective, it raises `_BudgetSpent` in place of
-    any evaluation past `budget`.
+    any evaluation past `budget`; it fails a run that passes `RUNAWAY`.
     """
 
     def __init__(self, f, budget=UNLIMITED):
         self.f = f
         self.budget = budget
         self.points = []
-        self.best = np.inf
+        self.values = []
 
     def __call__(self, x):
         if len(self.points) == self.budget:
             raise _BudgetSpent
+        assert len(self.points) < RUNAWAY, f"still searching after {RUNAWAY} evaluations"
         self.points.append(np.array(x, copy=True))
-        value = float(self.f(x))
-        self.best = min(self.best, value)
-        return value
+        self.values.append(float(self.f(x)))
+        return self.values[-1]
+
+    @property
+    def best(self):
+        return min(self.values)
+
+
+def _rosenbrock_residual(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def _rosenbrock_jacobian(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
 
 def rosenbrock(x):
-    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    r = _rosenbrock_residual(x)
+    return float(r @ r)
 
 
 def rosenbrock_steps(x):
     """Rosenbrock rounded down to an integer.
 
-    Ties exercise every strict and non-strict comparison; from the start
-    below the simplex stalls on the 4.0 plateau.
+    The steps come from its residual's model, the accept test sees only the
+    plateaus: ties exercise the strict comparison, and the run stalls on the
+    1.0 plateau where scipy's stalls on the 4.0 one.
     """
     return np.floor(rosenbrock(x))
 
 
 _QUAD_A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.2], [0.5, -0.2, 2.0]])
 _QUAD_M = np.array([0.3, -0.7, 1.1])
+#: quadratic(x) = |L^T (x - m)|^2 with A = L L^T
+_QUAD_LT = np.linalg.cholesky(_QUAD_A).T
 
 
 def quadratic(x):
@@ -79,23 +105,76 @@ def _pure_cn_point(z):
     return pure_cn_objective(system, pulse)
 
 
+_ROSENBROCK_SIMPLEX = np.array([[-1.2, 1.0], [-1.14, 1.0], [-1.2, 1.05]])
+
+#: objective, its (residual, Jacobian, box centre, box half-width) or None for
+#: pure_cn3d, scipy's initial simplex (its first vertex is the start), tolerance
 OBJECTIVES = {
-    "rosenbrock2d": (rosenbrock, np.array([[-1.2, 1.0], [-1.14, 1.0], [-1.2, 1.05]]), 1e-3),
-    "rosenbrock2d_steps": (
-        rosenbrock_steps, np.array([[-1.2, 1.0], [-1.14, 1.0], [-1.2, 1.05]]), 4.0
+    "rosenbrock2d": (
+        rosenbrock, (_rosenbrock_residual, _rosenbrock_jacobian, np.array([0.0, 1.0]), 2.0),
+        _ROSENBROCK_SIMPLEX, 1e-3,
     ),
-    "quadratic3d": (quadratic, np.vstack([np.zeros(3), 0.25 * np.eye(3)]), 1e-4),
-    "pure_cn3d": (_pure_cn_point, np.vstack([np.zeros(3), 0.5 * np.eye(3)]), 1e-6),
+    "rosenbrock2d_steps": (
+        rosenbrock_steps,
+        (_rosenbrock_residual, _rosenbrock_jacobian, np.array([0.0, 1.0]), 2.0),
+        _ROSENBROCK_SIMPLEX, 4.0,
+    ),
+    "quadratic3d": (
+        quadratic, (lambda x: _QUAD_LT @ (x - _QUAD_M), lambda x: _QUAD_LT, np.zeros(3), 2.0),
+        np.vstack([np.zeros(3), 0.25 * np.eye(3)]), 1e-4,
+    ),
+    "pure_cn3d": (_pure_cn_point, None, np.vstack([np.zeros(3), 0.5 * np.eye(3)]), 1e-6),
 }
 
 
-def _run_both(f, simplex, budget, tol=None):
-    ours, theirs = Recorder(f, budget), Recorder(f)
-    done = (lambda: ours.best <= tol) if tol is not None else (lambda: False)
+def _run_ours(name, budget, tol, monkeypatch):
+    """Every point the in-package search scores, in order, and their values."""
+    f, model_of, simplex, _ = OBJECTIVES[name]
+    if model_of is None:
+        scored = Recorder(lambda point: point[-1])
+
+        class Recording(calibrate.Generator):
+            def objective(self, tau):
+                value = super().objective(tau)
+                scored((*self.matrix_b.ravel().tolist(), tau, value))
+                return value
+
+        with monkeypatch.context() as patch:
+            patch.setattr(calibrate, "Generator", Recording)
+            spec = SearchSpec(
+                free=("omega1", "a2", "duration"), tie_a1=True,
+                max_evaluations=budget, objective_tol=tol,
+            )
+            system = SystemParams(500.0, 100.0, 5.0)
+            pulse = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=31.41592653589793)
+            result = tune_pure_cn(system, pulse, spec)
+        assert result.evaluations == len(scored.points)
+        assert result.objective == scored.best
+        return scored
+
+    residual, jacobian, center, width = model_of
+    ours = Recorder(f, budget)
+
+    def evaluate(z):
+        x = center + width * np.array(z)
+        return ours(x), (x,)
+
+    def model(x):
+        jac = jacobian(x) * width
+        return jac.T @ jac, jac.T @ residual(x)
+
+    start = tuple(((simplex[0] - center) / width).tolist())
     try:
-        _nelder_mead(ours, simplex, done)
+        _levenberg_marquardt(evaluate, model, start, *evaluate(start), tol)
     except _BudgetSpent:
         pass
+    return ours
+
+
+def _run_scipy(name, tol=None):
+    """scipy's Nelder-Mead from the same start, stopped by `tol` or by its own spread test."""
+    f, _, simplex, _ = OBJECTIVES[name]
+    theirs = Recorder(f)
 
     def stop(intermediate_result):
         if tol is not None and theirs.best <= tol:
@@ -106,50 +185,46 @@ def _run_both(f, simplex, budget, tol=None):
         simplex[0],
         method="Nelder-Mead",
         callback=stop,
-        options={"initial_simplex": simplex, "maxfev": budget, "xatol": 1e-12, "fatol": 1e-15},
+        options={"initial_simplex": simplex, "xatol": 1e-12, "fatol": 1e-15},
     )
-    return ours.points, theirs.points
+    return theirs
 
 
-def _assert_same_sequence(ours, theirs):
-    for k, (a, b) in enumerate(zip(ours, theirs)):
-        assert np.array_equal(a, b), f"first differing evaluation #{k}: {a!r} vs scipy {b!r}"
-    assert len(ours) == len(theirs), (
-        f"{len(ours)} evaluations vs scipy's {len(theirs)}; "
-        f"first point past the common prefix is #{min(len(ours), len(theirs))}"
-    )
+def _assert_same_sequence(budgeted, full):
+    for k, (a, b) in enumerate(zip(budgeted.points, full.points)):
+        assert np.array_equal(a, b), f"first differing evaluation #{k}: {a!r} vs {b!r}"
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 7, 13, UNLIMITED])
-def test_budgeted_sequence_matches_scipy(name, budget):
-    f, simplex, _ = OBJECTIVES[name]
-    ours, theirs = _run_both(f, simplex, budget)
-    _assert_same_sequence(ours, theirs)
-    if budget == UNLIMITED:
-        # stopped by the simplex/value spread test, not by the budget
-        assert len(ours) < UNLIMITED
-        assert len(ours) > 50
-    else:
-        assert len(ours) == budget
+def test_budgeted_sequence_matches_scipy(name, budget, monkeypatch):
+    full = _run_ours(name, UNLIMITED, NO_TOL, monkeypatch)
+    # stopped by the damping or a stall, not by the budget
+    assert len(full.points) < UNLIMITED
+    theirs = _run_scipy(name)
+    # scipy's minimum, to the 1e-3 by which the pure-CN minimum (3.81e-7) differs in the two
+    ceiling = theirs.best * (1.0 + 2e-3) + 1e-24
+    assert full.best <= ceiling, f"best {full.best!r} vs scipy's {theirs.best!r}"
+
+    ours = _run_ours(name, budget, NO_TOL, monkeypatch)
+    assert len(ours.points) == min(budget, len(full.points))
+    _assert_same_sequence(ours, full)
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
-def test_tolerance_stop_matches_scipy(name):
-    f, simplex, tol = OBJECTIVES[name]
-    ours, theirs = _run_both(f, simplex, UNLIMITED, tol=tol)
-    _assert_same_sequence(ours, theirs)
-    full, _ = _run_both(f, simplex, UNLIMITED)
-    assert len(ours) < len(full)
-
-
-@pytest.mark.parametrize("name", sorted(OBJECTIVES))
-def test_tolerance_checked_only_after_first_iteration(name):
-    # a tolerance every value meets still lets one full iteration run
-    f, simplex, _ = OBJECTIVES[name]
-    ours, theirs = _run_both(f, simplex, UNLIMITED, tol=np.inf)
-    _assert_same_sequence(ours, theirs)
-    assert len(ours) > len(simplex)
+def test_tolerance_stop_matches_scipy(name, monkeypatch):
+    tol = OBJECTIVES[name][3]
+    ours = _run_ours(name, UNLIMITED, tol, monkeypatch)
+    theirs = _run_scipy(name, tol=tol)
+    # both meet it; ours stops at its first point that does, scipy at the end of that iteration
+    assert theirs.best <= tol
+    assert ours.values[-1] <= tol < min(ours.values[:-1])
+    assert len(ours.points) <= len(theirs.points), (
+        f"{len(ours.points)} evaluations vs scipy's {len(theirs.points)}"
+    )
+    full = _run_ours(name, UNLIMITED, NO_TOL, monkeypatch)
+    assert len(ours.points) < len(full.points)
+    _assert_same_sequence(ours, full)
 
 
 def test_runtime_imports_no_scipy(tmp_path):
