@@ -10,8 +10,8 @@ shows the failure of the amplitude-only search, the success of the
 three-parameter search, and the phase-sensitivity of the duration.  Both
 searches are Levenberg-Marquardt runs on the gate's exact derivatives, read
 off each point's one eigensystem: the three-parameter search lands in 6
-evaluations, and the amplitude-only one stalls, scans a 65-point grid, stalls
-again and stops after 118.
+evaluations, and the amplitude-only one stops where its model predicts no
+further decrease, scans a 65-point grid, stops so again and ends after 84.
 
 Run from the repository root:  python3 demos/04_pure_cn_search.py
 """

@@ -15,7 +15,7 @@ shifts of the system and pulse parameters; `tune_pure_cn` performs that
 search by Levenberg-Marquardt on the gate's exact derivatives, which the one
 eigensystem of each point gives in closed form (the propagator-gradient idea
 of GRAPE, Khaneja et al., J. Magn. Reson. 172, 296, 2005).  It is
-deterministic (fixed start, fixed damping schedule, one fixed grid, no
+deterministic (fixed start, damping schedule, stop rule and grid, no
 randomness) and needs only numpy at run time.
 """
 
@@ -46,8 +46,8 @@ _DB_A2, _DB_A1, _CN = np.eye(4)[[1, 0, 3, 2]], np.eye(4)[[2, 3, 0, 1]], np.eye(4
 
 #: Levenberg-Marquardt damping: start, growth on a rejected step, shrink on an accepted one
 _MU_START, _MU_UP, _MU_DOWN = 1e-3, 4.0, 3.0
-#: a run ends past this damping, or at a relative decrease of at most _MIN_REL_DECREASE
-_MU_MAX, _MIN_REL_DECREASE = 1e6, 1e-13
+#: a run ends when its model predicts a relative decrease of at most this
+_MIN_REL_DECREASE = 1e-13
 
 
 def calibrate_pi_duration(params: SystemParams, pulse_template: PulseSpec) -> float:
@@ -161,8 +161,8 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     (`_gate_derivatives`); it chains through a tied a1 and, approximately,
     through a recalibrated duration.  The damping starts at 1e-3, grows 4x
     on a rejected step and shrinks 3x on an accepted one; a run ends at
-    `objective_tol`, at a relative decrease of at most 1e-13, past a damping
-    of 1e6 or when a clamped step does not move.  If the first run ends
+    `objective_tol`, or before a clamped step whose decrease the linear model
+    predicts to be at most 1e-13 of the objective.  If the first run ends
     above `objective_tol`, a fixed coarse grid over the box (65, 13^2 or 7^3
     points) is scored once and a second run starts from its best point.
     `max_evaluations` counts every scored point; a spent budget is no error,
@@ -176,13 +176,8 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         if center[name] == 0.0:
             raise ValueError(f"cannot search {name!r} from a starting value of 0")
     windows = [float(spec.rel_window) * abs(center[n]) for n in spec.free]
-    centers = [center[n] for n in spec.free]
     # omega2, J and the carrier are the same at every point of the search
     omega2, coupling_j, carrier = params.omega2, params.coupling_j, pulse.carrier
-    # a point's free coordinates, then the fixed ones: `pick` reads omega1, a2, duration off them
-    order = spec.free + tuple(n for n in _FREE_ORDER if n not in spec.free)
-    fixed = tuple(center[n] for n in order[len(spec.free):])
-    pick = operator.itemgetter(*map(order.index, _FREE_ORDER))
     # the derivatives of the free coordinates, each per unit of its normalized coordinate
     rows = [_FREE_ORDER.index(n) for n in spec.free]
     scale = np.array(windows)[:, None, None]
@@ -194,8 +189,8 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         nonlocal evaluations, best_val, best_point
         if evaluations == spec.max_evaluations:
             raise _BudgetSpent
-        free = tuple(c + zi * w for zi, c, w in zip(z, centers, windows))
-        omega1, a2, duration = pick(free + fixed)
+        moved = {n: center[n] + zi * w for n, zi, w in zip(spec.free, z, windows)}
+        omega1, a2, duration = map({**center, **moved}.__getitem__, _FREE_ORDER)
         a1 = a2 * omega1 / omega2 if spec.tie_a1 else pulse.a1
         if last[0] != (omega1, a1, a2):
             last[:] = (omega1, a1, a2), Generator(omega1, omega2, coupling_j, carrier, a1, a2)
@@ -243,27 +238,27 @@ class _BudgetSpent(Exception):
 
 def _levenberg_marquardt(evaluate, model, z: tuple, value: float, at, tol: float) -> None:
     """Damped Gauss-Newton run in [-1, 1]^n from z, scored `value`: `evaluate(z)` gives
-    (objective, at), `model(*at)` gives (J^T J, J^T R) with z's coordinates first."""
-    jtj, jtr = model(*at)
+    (objective, at), `model(*at)` gives (J^T J, J^T R) with z's coordinates first.  It ends at
+    `tol`, or before a clamped step s whose model decrease -(2 s.J^T R + s.J^T J s) / 8 (|R|^2
+    is 8 objectives) is at most _MIN_REL_DECREASE of `value` (Madsen, Nielsen & Tingleff,
+    IMM DTU, 2004): a step that does not move predicts none, and each rejection shrinks it."""
     mu = _MU_START
     while value > tol:
+        jtj, jtr = model(*at)
         # Marquardt's scaling; a flat coordinate (every one at tau = 0) takes no step
-        scaling = np.maximum(jtj.diagonal(), 1e-12 * jtj.diagonal().max())
-        step = np.linalg.solve(jtj + mu * np.diag(scaling), -jtr).tolist()
-        trial = tuple(min(max(zi + si, -1.0), 1.0) for zi, si in zip(z, step))
-        if trial == z:
-            return
-        trial_value, trial_at = evaluate(trial)
-        if trial_value < value:
-            if value - trial_value <= _MIN_REL_DECREASE * value:
+        scaling = np.diag(np.maximum(jtj.diagonal(), 1e-12 * jtj.diagonal().max()))
+        while True:
+            step = np.linalg.solve(jtj + mu * scaling, -jtr)
+            trial = tuple(min(max(zi + si, -1.0), 1.0) for zi, si in zip(z, step.tolist()))
+            step[:len(z)] = np.subtract(trial, z)
+            if -step @ (2.0 * jtr + jtj @ step) <= 8.0 * _MIN_REL_DECREASE * value:
                 return
-            z, value, at = trial, trial_value, trial_at
-            jtj, jtr = model(*at)
-            mu /= _MU_DOWN
-        else:
+            trial_value, trial_at = evaluate(trial)
+            if trial_value < value:
+                break
             mu *= _MU_UP
-            if mu > _MU_MAX:
-                return
+        z, value, at = trial, trial_value, trial_at
+        mu /= _MU_DOWN
 
 
 def _residual(gen: Generator, tau: float) -> tuple[np.ndarray, np.ndarray]:

@@ -134,19 +134,25 @@ class Generator:
 
         The state at time t is `gate(t, frame) @ amps`, so column j is the
         pulse-end state of digital input j; "primed" rephases U's rows.  The
-        bound is `Generator`'s; phases lam tau/2 that overflow (checked in Python
-        floats, lam ascending, before numpy could warn) raise as a nan defect.
+        bound is `Generator`'s; overflowing phases raise as a nan defect.
         """
-        if not (0.0 <= tau < inf and (frame == "raw" or frame == "primed")):
+        if not (frame == "raw" or frame == "primed"):
             check_param("duration", tau)
             check_param("frame", frame)
-        if not 0.5 * max(-float(self.lam[0]), float(self.lam[3])) * tau < inf:
-            raise RuntimeError(f"gate at tau={tau!r} is not unitary (defect nan)")
+        self._check_duration(tau)
         phases = np.exp(0.5j * self.lam * tau)
         gate = (self.v * phases) @ self.v.T
         if frame == "primed":
             gate = frame_phase_factors(self, tau)[:, None] * gate
         return gate
+
+    def _check_duration(self, tau: float) -> None:
+        """Raise the duration `ValueError`, then a nan-defect `RuntimeError` if a phase lam tau/2
+        overflows (lam ascends, so its ends bound the rest) before numpy warns or math.cos fails."""
+        if not 0.0 <= tau < inf:
+            check_param("duration", tau)
+        if not 0.5 * max(-float(self.lam[0]), float(self.lam[3])) * tau < inf:
+            raise RuntimeError(f"gate at tau={tau!r} is not unitary (defect nan)")
 
     def transfer(self, tau: float) -> float:
         """Population |c10(tau)|^2 reached from |11>.
@@ -154,8 +160,10 @@ class Generator:
         Closed form of `gate(tau)[2, 3]`, the one amplitude it needs:
         c10(tau) = sum_k V[2,k] V[3,k] exp(i lam_k tau / 2), summed left to
         right in Python floats.  numpy's dot of the same terms accumulates
-        with fused multiply-adds, so the two can differ by a few ulp.
+        with fused multiply-adds, so the two can differ by a few ulp.  A bad
+        duration raises as in `objective`.
         """
+        self._check_duration(tau)
         return _transfer_probe(self.lam, self.v)(tau)
 
     def pi_duration(self) -> float:
@@ -227,11 +235,8 @@ class Generator:
         1 - `gate_fidelity(U, i CN)` to 1e-15, not to the bit (that sums sixteen products).
         """
         (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = self.v.tolist()
+        self._check_duration(tau)
         h0, h1, h2, h3 = (0.5 * self.lam).tolist()
-        # lam ascends, so the outer phases bound the inner; math.cos(inf) raises a bare ValueError
-        if not (0.0 <= tau < inf and -inf < h0 * tau < inf and -inf < h3 * tau < inf):
-            check_param("duration", tau)
-            raise RuntimeError(f"gate at tau={tau!r} is not unitary (defect nan)")
         w0 = p0 * p0 + q0 * q0 + 2.0 * r0 * s0
         w1 = p1 * p1 + q1 * q1 + 2.0 * r1 * s1
         w2 = p2 * p2 + q2 * q2 + 2.0 * r2 * s2

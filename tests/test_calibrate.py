@@ -248,10 +248,10 @@ class TestTunePureCn:
 #: a2-only search that search's 0.2894839332849036 plus 1e-9.
 SEARCHES = {
     "tie_a1": ("params12", dict(free=("omega1", "a2", "duration"), tie_a1=True), 6, 6, 6.99e-7),
-    "a2_only": ("params12", dict(free=("a2",)), 118, 118, 0.2894839332849036 + 1e-9),
+    "a2_only": ("params12", dict(free=("a2",)), 84, 84, 0.2894839332849036 + 1e-9),
     "untied": ("params12", dict(free=("omega1", "a2", "duration")), 6, 6, 6.81e-7),
     "duration_only": (
-        "params24", dict(free=("duration",), objective_tol=1e-5), 97, 1, 6.69e-6
+        "params24", dict(free=("duration",), objective_tol=1e-5), 78, 1, 6.69e-6
     ),
     "recalibrate": (
         "params12",
@@ -300,7 +300,7 @@ class TestLeanSearchEvaluation:
 
     def test_new_generator_iff_drive_moves(self, search, monkeypatch):
         params, pulse, spec, evaluations, eighs, _ = search
-        scored = []  # the Generator of every evaluation, in order
+        scored = []  # the Generator and duration of every evaluation, in order
 
         class Recording(calibrate.Generator):
             def __init__(self, omega1, omega2, coupling_j, carrier, a1, a2):
@@ -308,15 +308,17 @@ class TestLeanSearchEvaluation:
                 self.drive = (omega1, a1, a2)
 
             def objective(self, tau):
-                scored.append(self)
+                scored.append((self, tau))
                 return super().objective(tau)
 
         monkeypatch.setattr(calibrate, "Generator", Recording)
         tune_pure_cn(params, pulse, spec)
         assert len(scored) == evaluations
-        assert len({id(gen) for gen in scored}) == eighs
-        for before, after in zip(scored, scored[1:]):
+        assert len({id(gen) for gen, _ in scored}) == eighs
+        for (before, tau_before), (after, tau_after) in zip(scored, scored[1:]):
             assert (after is before) == (after.drive == before.drive)
+            # no point is scored twice in a row
+            assert (after.drive, tau_after) != (before.drive, tau_before)
 
     def test_generator_is_kept_per_search(self, params12, pulse12, eigh_calls):
         # a duration-only search scores every point on one Generator, built anew per search

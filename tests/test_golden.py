@@ -7,11 +7,20 @@ must match exactly and integers (exit status, evaluation counts, indices)
 too; every other number must agree to 1e-12 relative, or 1e-15 absolute
 for rounding-level zeros such as the imaginary parts of real amplitudes.
 
-Regenerate the fixtures from the current tree with
+Regenerate fixtures from the current tree, all of them or only those named, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+and list, one a line, those whose bytes differ while every number stays
+within the bounds above (last-digit drift), with
+
+    PYTHONPATH=src python tests/test_golden.py --check [NAME ...]
+
+which writes nothing; a fixture outside the bounds is reported on stderr and
+makes it exit 1.
 """
 
+import argparse
 import contextlib
 import io
 import math
@@ -92,11 +101,39 @@ def test_comparison_is_strict():
         assert_matches("after 75 evaluations", "after 74 evaluations", "count")
 
 
+def regenerate(argv: list[str]) -> int:
+    """Rewrite the named fixtures, or with --check only list those that drifted."""
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden fixtures.")
+    parser.add_argument("names", nargs="*", metavar="NAME", help=f"any of {', '.join(CASES)}")
+    parser.add_argument("--check", action="store_true", help="list drifted fixtures only")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.names if name not in CASES]
+    if unknown:
+        parser.error(f"unknown fixtures: {', '.join(unknown)}")
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in args.names or list(CASES):
+            log, out = run_case(name, Path(tmp))
+            if not args.check:
+                (GOLDEN / f"{name}.log").write_text(log, encoding="utf-8")
+                (GOLDEN / name).write_text(out, encoding="utf-8")
+                print(f"{name}: {log.splitlines()[0]}", file=sys.stderr)
+                continue
+            expected_log = (GOLDEN / f"{name}.log").read_text(encoding="utf-8")
+            expected = (GOLDEN / name).read_text(encoding="utf-8")
+            if (log, out) == (expected_log, expected):
+                continue
+            try:
+                assert_matches(log, expected_log, f"{name}.log")
+                assert_matches(out, expected, name)
+            except AssertionError as exc:
+                print(f"out of bounds: {exc}", file=sys.stderr)
+                status = 1
+            else:
+                print(name)
+    return status
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
-            transcript, output = run_case(case, Path(tmp))
-            (GOLDEN / f"{case}.log").write_text(transcript, encoding="utf-8")
-            (GOLDEN / case).write_text(output, encoding="utf-8")
-            print(f"{case}: {transcript.splitlines()[0]}", file=sys.stderr)
+    sys.exit(regenerate(sys.argv[1:]))

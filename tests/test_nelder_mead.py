@@ -199,7 +199,7 @@ def _assert_same_sequence(budgeted, full):
 @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 7, 13, UNLIMITED])
 def test_budgeted_sequence_matches_scipy(name, budget, monkeypatch):
     full = _run_ours(name, UNLIMITED, NO_TOL, monkeypatch)
-    # stopped by the damping or a stall, not by the budget
+    # stopped where its model predicts no decrease, not by the budget
     assert len(full.points) < UNLIMITED
     theirs = _run_scipy(name)
     # scipy's minimum, to the 1e-3 by which the pure-CN minimum (3.81e-7) differs in the two

@@ -521,6 +521,18 @@ class TestUnitarityGuard:
             with pytest.raises(RuntimeError, match=message):
                 gen12.gate(1e308, frame)
 
+    @pytest.mark.parametrize(
+        "tau, error",
+        [(-1.0, ValueError), (math.nan, ValueError), (math.inf, ValueError), (1e308, RuntimeError)],
+    )
+    def test_transfer_rejects_a_bad_duration_as_objective_does(self, gen12, tau, error):
+        with pytest.raises(error) as expected:
+            gen12.objective(tau)
+        with pytest.raises(error) as got:
+            gen12.transfer(tau)
+        assert got.type is expected.type
+        assert str(got.value) == str(expected.value)
+
     def test_overflowing_time_series_and_frame_raise_without_warning(self, gen12):
         with pytest.raises(ValueError, match="^times and amplitudes must be finite$"):
             gen12.timeseries(digital_state("11"), 1e308, 2e307, "raw")
