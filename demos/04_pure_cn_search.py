@@ -11,7 +11,8 @@ three-parameter search, and the phase-sensitivity of the duration.  Both
 searches are Levenberg-Marquardt runs on the gate's exact derivatives, read
 off each point's one eigensystem: the three-parameter search lands in 6
 evaluations, and the amplitude-only one stops where its model predicts no
-further decrease, scans a 65-point grid, stops so again and ends after 84.
+further decrease, scans a 65-point grid centred on its start, finds no
+better point to restart from and ends after 74.
 
 Run from the repository root:  python3 demos/04_pure_cn_search.py
 """

@@ -16,7 +16,7 @@ search by Levenberg-Marquardt on the gate's exact derivatives, which the one
 eigensystem of each point gives in closed form (the propagator-gradient idea
 of GRAPE, Khaneja et al., J. Magn. Reson. 172, 296, 2005).  It is
 deterministic (fixed start, damping schedule, stop rule and grid, no
-randomness) and needs only numpy at run time.
+randomness), scores no point twice and needs only numpy at run time.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class SearchSpec:
         `free`: a searched duration cannot also be re-timed.
     max_evaluations
         Budget of objective evaluations (duration recalibrations not
-        counted); every scored point counts, a revisited one too.
+        counted); every scored point counts, and none is scored twice.
     objective_tol
         The search is flagged converged once the best objective is at or
         below this value.
@@ -107,6 +107,8 @@ class SearchSpec:
     objective_tol: float = 1e-6
 
     def __post_init__(self):
+        if isinstance(self.free, str):  # not its characters
+            raise ValueError(f"free must be a tuple of names from {_FREE_ORDER}, got {self.free!r}")
         free = tuple(name for name in _FREE_ORDER if name in self.free)
         if set(free) != set(self.free):
             bad = set(self.free) - set(_FREE_ORDER)
@@ -158,13 +160,14 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     phi one more coordinate: minimized over phi, |R|^2 is 8 times the
     objective, so a step is accepted when the objective falls.  The Jacobian
     is read off the eigensystem of the point's one `Generator`
-    (`_gate_derivatives`); it chains through a tied a1 and, approximately,
+    (`_linearize`); it chains through a tied a1 and, approximately,
     through a recalibrated duration.  The damping starts at 1e-3, grows 4x
     on a rejected step and shrinks 3x on an accepted one; a run ends at
     `objective_tol`, or before a clamped step whose decrease the linear model
     predicts to be at most 1e-13 of the objective.  If the first run ends
     above `objective_tol`, a fixed coarse grid over the box (65, 13^2 or 7^3
-    points) is scored once and a second run starts from its best point.
+    points, centred on the start, which is not scored again) is scored, and
+    a second run starts from its best point unless that is the start.
     `max_evaluations` counts every scored point; a spent budget is no error,
     the result is flagged non-converged.  A point outside the field ranges (a
     window reaching a2 < 0, say) raises the `ValueError` of the `Generator`
@@ -178,9 +181,8 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     windows = [float(spec.rel_window) * abs(center[n]) for n in spec.free]
     # omega2, J and the carrier are the same at every point of the search
     omega2, coupling_j, carrier = params.omega2, params.coupling_j, pulse.carrier
-    # the derivatives of the free coordinates, each per unit of its normalized coordinate
-    rows = [_FREE_ORDER.index(n) for n in spec.free]
-    scale = np.array(windows)[:, None, None]
+    # the derivatives of the free coordinates, each per unit of its normalized coordinate, and phi's
+    rows, scale = [*map(_FREE_ORDER.index, spec.free), 3], np.array([*windows, 1.0])[:, None, None]
     evaluations, best_val, best_point = 0, np.inf, None
     last = [None, None]  # (omega1, a1, a2) of the last scored point, and its Generator
 
@@ -207,19 +209,22 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
         """J^T J and J^T R over (z, phi) at phi's best value, all in the eigenbasis of `gen`."""
         tau, a2 = point["duration"], point["a2"]
         da1 = (a2 / omega2, point["omega1"] / omega2) if spec.tie_a1 else (0.0, 0.0)
-        derivatives = _gate_derivatives(gen, tau, da1, spec.recalibrate_duration)
-        residual, d_phi = _residual(gen, tau)
-        jac = np.concatenate([derivatives[rows] * scale, [d_phi]]).reshape(len(rows) + 1, 16)
+        residual, derivatives = _linearize(gen, tau, da1, spec.recalibrate_duration)
+        jac = (derivatives[rows] * scale).reshape(len(rows), 16)
         return (jac.conj() @ jac.T).real, (jac.conj() @ residual.ravel()).real
 
-    ndim, tol = len(spec.free), spec.objective_tol
+    tol, start = spec.objective_tol, (0.0,) * len(spec.free)
     try:
-        _levenberg_marquardt(evaluate, model, (0.0,) * ndim, *evaluate((0.0,) * ndim), tol)
+        value, at = evaluate(start)
+        _levenberg_marquardt(evaluate, model, start, value, at, tol)
         if best_val > tol:
-            axis = np.linspace(-1.0, 1.0, {1: 65, 2: 13, 3: 7}[ndim]).tolist()
-            grid = [(*evaluate(z), z) for z in itertools.product(axis, repeat=ndim)]
+            # the grid's centre is the start (exactly 0.0 for 65, 13 and 7 points), not rescored
+            axis = np.linspace(-1.0, 1.0, {1: 65, 2: 13, 3: 7}[len(start)]).tolist()
+            grid = [(value, at, z) if z == start else (*evaluate(z), z)
+                    for z in itertools.product(axis, repeat=len(start))]
             value, at, z = min(grid, key=operator.itemgetter(0))
-            _levenberg_marquardt(evaluate, model, z, value, at, tol)
+            if z != start:  # a run from the start would retrace the first one
+                _levenberg_marquardt(evaluate, model, z, value, at, tol)
     except _BudgetSpent:
         pass
 
@@ -261,25 +266,15 @@ def _levenberg_marquardt(evaluate, model, z: tuple, value: float, at, tol: float
         mu /= _MU_DOWN
 
 
-def _residual(gen: Generator, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """R = U - c i CN at the phase c that minimizes |R|, and dR/dphi there, each as V^T . V.
-
-    |R|^2 = 8 - 2 |tr((i CN)^dag U)| = 8 `gen.objective(tau)`.  V^T CN V has the
-    objective's weights w_k on its diagonal; the trace is sum_k w_k e^{i lam_k tau/2}.
-    """
-    phases = np.exp(0.5j * gen.lam * tau)
-    m = gen.v.T @ _CN @ gen.v
-    s = m.diagonal() @ phases
-    u = s / abs(s) if s else 1.0  # -i c
-    return np.diag(phases) - u * m, -1j * u * m
-
-
-def _gate_derivatives(
+def _linearize(
     gen: Generator, tau: float, da1: tuple = (0.0, 0.0), recalibrated: bool = False
-) -> np.ndarray:
-    """dU/d omega1, dU/d a2 and dU/d tau of U = exp(i B tau/2), each as V^T dU V.
+) -> tuple[np.ndarray, np.ndarray]:
+    """R = U - c i CN at the c minimizing |R|, and dR/d omega1, a2, tau, phi (c = e^{i phi}),
+    each as V^T . V, from one set of phases e^{i lam tau/2}.
 
-    For a coordinate with dB, dU = V (Phi o V^T dB V) V^T (Daleckii-Krein), where
+    |R|^2 = 8 - 2 |tr((i CN)^dag U)| = 8 `gen.objective(tau)`: V^T CN V has the objective's
+    weights w_k on its diagonal, so the trace is sum_k w_k e^{i lam_k tau/2}.  For a
+    coordinate with dB, dU = V (Phi o V^T dB V) V^T (Daleckii-Krein), where
     Phi_kl = 2i e^{i(lam_k+lam_l)tau/4} sin((lam_k-lam_l)tau/4) / (lam_k-lam_l): written
     with sinc, it has no cancellation at a near-degenerate pair and is
     (i tau/2) e^{i lam_k tau/2} on the diagonal.  dU/d tau is diag(i lam/2 e^{i lam tau/2}).
@@ -288,14 +283,18 @@ def _gate_derivatives(
     slope is that of pi / hypot(a2, delta), -tau a2 / (a2^2 + delta^2), so only approximate.
     """
     lam, v = gen.lam, gen.v
+    phases = np.exp(0.5j * lam * tau)
+    m = v.T @ _CN @ v
+    s = m.diagonal() @ phases
+    u = s / abs(s) if s else 1.0  # -i c
     phi = (
         0.5j * tau * np.exp(0.25j * tau * np.add.outer(lam, lam))
         * np.sinc(np.subtract.outer(lam, lam) * (0.25 * tau / np.pi))
     )
-    d_tau = np.diag(0.5j * lam * np.exp(0.5j * lam * tau))
+    d_tau = np.diag(0.5j * lam * phases)
     d_b = np.array([_DB_OMEGA1 + da1[0] * _DB_A1, _DB_A2 + da1[1] * _DB_A1])
     d_omega1, d_a2 = phi * (v.T @ d_b @ v)
     if recalibrated:
         a2, delta = float(gen.matrix_b[0, 1]), 0.5 * float(gen.matrix_b[3, 3])  # B[11,11] = 2 delta
         d_a2 = d_a2 - tau * a2 / (a2 * a2 + delta * delta) * d_tau
-    return np.array([d_omega1, d_a2, d_tau])
+    return np.diag(phases) - u * m, np.array([d_omega1, d_a2, d_tau, -1j * u * m])

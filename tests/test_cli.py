@@ -371,9 +371,9 @@ class TestCalibrate:
         )
         assert code == 1
         values, _ = read_report(out)
-        assert values["evaluations"] == "84"
+        assert values["evaluations"] == "74"
         # each point moves a2, and one more for the pi timing of the 'auto' duration
-        assert len(eigh_calls) == 85
+        assert len(eigh_calls) == 75
 
     def test_recalibrated_duration_search(self, tmp_path):
         out = tmp_path / "recal.cfg"

@@ -7,9 +7,10 @@ damped steps short of the minimum shows here.  Its budget must cut its own
 evaluation sequence and nothing else, and a tolerance must stop it at the
 first point that meets it, after no more evaluations than scipy needs to
 meet it.  Three objectives run the bare `_levenberg_marquardt` on a residual
-given in closed form; pure_cn3d runs `tune_pure_cn` itself (first run, grid
-and second run) on the tied 3-parameter box around params12.  scipy is the
-oracle here only; the package itself must not import it.
+given in closed form; pure_cn3d runs `tune_pure_cn` itself (first run, grid,
+and a second run unless the grid's best is the start) on the tied
+3-parameter box around params12.  scipy is the oracle here only; the
+package itself must not import it.
 """
 
 import os
