@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PulseSpec, SystemParams
+from .core import PulseSpec, SystemParams, check_param
 from .propagator import Generator, build_generator
 
 __all__ = [
@@ -109,6 +109,9 @@ class SearchSpec:
     def __post_init__(self):
         if isinstance(self.free, str):  # not its characters
             raise ValueError(f"free must be a tuple of names from {_FREE_ORDER}, got {self.free!r}")
+        repeated = sorted({name for name in self.free if list(self.free).count(name) > 1})
+        if repeated:
+            raise ValueError(f"free parameters {repeated} are named more than once")
         free = tuple(name for name in _FREE_ORDER if name in self.free)
         if set(free) != set(self.free):
             bad = set(self.free) - set(_FREE_ORDER)
@@ -121,18 +124,10 @@ class SearchSpec:
         if not 0.0 < self.rel_window < np.inf:
             raise ValueError(
                 f"search window for {', '.join(free)} must be positive and finite, "
-                f"got {self.rel_window!r}"
+                f"got {self.rel_window}"
             )
-        if not isinstance(self.max_evaluations, (int, np.integer)) or self.max_evaluations < 1:
-            # a nan or inf budget would never be spent
-            raise ValueError(
-                f"max_evaluations must be an integer >= 1, got {self.max_evaluations!r}"
-            )
-        if not 0.0 < self.objective_tol < np.inf:
-            # nan never converges and inf converges at once, whatever the objective
-            raise ValueError(
-                f"objective_tol must be positive and finite, got {self.objective_tol!r}"
-            )
+        check_param("max_evaluations", self.max_evaluations)
+        check_param("objective_tol", self.objective_tol)
 
     def window_for(self, name: str) -> float:
         """`rel_window` for any name; kept only until `bench/workloads.py` reads it directly."""

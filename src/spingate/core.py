@@ -76,6 +76,10 @@ _RULES = {
     "duration": (_nonnegative, "must be finite and >= 0"),
     "sample_dt": (_positive, "must be positive and finite"),
     "frame": (lambda x: x in ("raw", "primed"), "must be 'raw' or 'primed'"),
+    # a nan or inf budget is never spent; a nan tolerance is never met, an inf one at once
+    "max_evaluations": (lambda x: isinstance(x, (int, np.integer)) and x >= 1,
+                        "must be an integer >= 1"),
+    "objective_tol": (_positive, "must be positive and finite"),
     # what a config line can hold, so an emitted config reloads the same path
     "out": (
         lambda x: "#" not in x and x.splitlines() == [x] and x == x.strip(),
@@ -117,9 +121,8 @@ class SystemParams:
     coupling_j: float
 
     def __post_init__(self):
-        check_param("omega1", self.omega1)
-        check_param("omega2", self.omega2)
-        check_param("coupling_j", self.coupling_j)
+        for name, value in vars(self).items():
+            check_param(name, value)
 
     @property
     def resonant_carrier(self) -> float:
@@ -141,10 +144,8 @@ class PulseSpec:
     duration: float
 
     def __post_init__(self):
-        check_param("carrier", self.carrier)
-        check_param("a1", self.a1)
-        check_param("a2", self.a2)
-        check_param("duration", self.duration)
+        for name, value in vars(self).items():
+            check_param(name, value)
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,8 @@ class Generator:
             0.0 < omega1 < inf and 0.0 < omega2 < inf and -inf < coupling_j < inf
             and 0.0 < carrier < inf and 0.0 <= a1 < inf and 0.0 <= a2 < inf
         ):
-            names = ("omega1", "omega2", "coupling_j", "carrier", "a1", "a2")
-            for name, value in zip(names, (omega1, omega2, coupling_j, carrier, a1, a2)):
-                check_param(name, value)
+            SystemParams(omega1, omega2, coupling_j)
+            PulseSpec(carrier, a1, a2, 0.0)
         d3 = 2.0 * (carrier - (omega2 - coupling_j))
         d0 = -2.0 * (omega2 - omega1 - 2.0 * coupling_j) - d3
         d1 = -2.0 * (omega2 - omega1)
@@ -151,8 +150,8 @@ class Generator:
         overflows (lam ascends, so its ends bound the rest) before numpy warns or math.cos fails."""
         if not 0.0 <= tau < inf:
             check_param("duration", tau)
-        if not 0.5 * max(-float(self.lam[0]), float(self.lam[3])) * tau < inf:
-            raise RuntimeError(f"gate at tau={tau!r} is not unitary (defect nan)")
+        if not 0.5 * max(-float(self.lam[0]), float(self.lam[3])) * float(tau) < inf:
+            raise RuntimeError(f"gate at tau={float(tau)!r} is not unitary (defect nan)")
 
     def transfer(self, tau: float) -> float:
         """Population |c10(tau)|^2 reached from |11>.
@@ -252,7 +251,7 @@ class Generator:
         check_param("duration", duration)
         check_param("sample_dt", sample_dt)
         check_param("frame", frame)
-        if not max(-float(self.lam[0]), float(self.lam[3])) * duration < inf:
+        if not max(-float(self.lam[0]), float(self.lam[3])) * float(duration) < inf:
             raise ValueError("times and amplitudes must be finite")  # as TimeSeries would say
         ts = _sample_grid(duration, sample_dt)
         proj = self.v.T @ initial.amps
@@ -262,6 +261,8 @@ class Generator:
         return TimeSeries(t=ts, amps=amps)
 
 
+# `objective` writes the same phase sum out with its own weights: a helper for both costs a call
+# per probe, +1.3 us per 26 us pi timing, +0.14 us per 2.3 us objective (Xeon, Python 3.11)
 def _transfer_probe(lam: np.ndarray, v: np.ndarray):
     """`Generator.transfer` as a function of tau alone, over plain Python floats.
 
@@ -331,7 +332,7 @@ def frame_phase_factors(gen: Generator, t: float | np.ndarray) -> np.ndarray:
     """
     rates = -0.5 * gen.matrix_b.diagonal()
     # in Python floats, before numpy could warn of an overflow; t >= 0, np.max costs 4 us
-    t_max = t if isinstance(t, float) else float(np.max(t))
+    t_max = float(t) if isinstance(t, float) else float(np.max(t))
     if not max(map(abs, rates.tolist())) * t_max < inf:
         raise ValueError(f"frame phases overflow at t = {t_max!r}")
     # 1j * rate * t: other orders flip the sign of some zero parts, which a primed CSV prints

@@ -130,6 +130,17 @@ class TestSearchSpec:
             SearchSpec(free=free)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "free, repeated",
+        [(("omega1", "omega1"), "['omega1']"), (("a2", "duration", "a2", "duration"),
+                                                "['a2', 'duration']")],
+    )
+    def test_repeated_name_rejected(self, free, repeated):
+        # it would search one coordinate while the CLI line named two
+        with pytest.raises(ValueError) as excinfo:
+            SearchSpec(free=free)
+        assert str(excinfo.value) == f"free parameters {repeated} are named more than once"
+
     def test_empty_free_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             SearchSpec(free=())
@@ -155,6 +166,17 @@ class TestSearchSpec:
     def test_bad_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="max_evaluations must be an integer >= 1"):
             SearchSpec(free=("a2",), max_evaluations=budget)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("max_evaluations", "max_evaluations must be an integer >= 1"),
+         ("objective_tol", "objective_tol must be positive and finite"),
+         ("rel_window", "search window for a2 must be positive and finite")],
+    )
+    def test_numpy_scalar_setting_prints_plain(self, field, message):
+        with pytest.raises(ValueError) as excinfo:
+            SearchSpec(free=("a2",), **{field: np.float64(np.nan)})
+        assert str(excinfo.value) == f"{message}, got nan"
 
     @pytest.mark.parametrize("free", [("duration",), ("omega1", "a2", "duration")])
     def test_recalibrating_a_free_duration_rejected(self, free):

@@ -417,6 +417,23 @@ class TestCalibrate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_duplicate_free_name_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "bad.cfg"
+        code = run_cli("calibrate", "--preset", "params12", "--pure-cn",
+                       "--free", "omega1,omega1", "--out", str(out))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: free parameters ['omega1'] are named more than once\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_search_line_names_the_searched_coordinates(self, tmp_path, capsys):
+        # in the order the search takes them, whatever order --free gives
+        out = tmp_path / "tuned.cfg"
+        run_cli("calibrate", "--preset", "params12", "--pure-cn", "--free", "a2,omega1",
+                "--max-evals", "2", "--out", str(out))
+        assert "calibrate: pure-cn search over omega1, a2: " in capsys.readouterr().out
+
     def test_no_interior_maximum_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "strong.cfg"
         config.write_text("a1 = 100\n")

@@ -246,6 +246,19 @@ class TestGateFidelity:
         want = abs(np.trace(target.conj().T @ gate)) / 4.0
         assert abs(gate_fidelity(gate, target) - want) <= 1e-15
 
+    @given(
+        entries=st.lists(
+            st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+            min_size=16, max_size=16,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cn_and_icn_fidelities_are_bit_equal(self, entries):
+        # the conjugated entries of i CN are -i or 0, so each product is the CN one turned by
+        # -i, exactly; the CLI's tomography prints one number for both
+        gate = np.array(entries).reshape(4, 4)
+        assert gate_fidelity(gate, 1j * cn_matrix()) == gate_fidelity(gate, cn_matrix())
+
 
 class TestTomography:
     def test_zero_duration_gives_identity(self, params12):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import spingate.core
 import spingate.propagator
 from spingate import (
     CalibrationError,
@@ -410,6 +411,30 @@ class TestSpectralKernel:
             f"2001-point grid maximum {best!r} by {gap:.3e} (bound 1e-9)"
         )
 
+    @pytest.mark.parametrize("a1_per_a2", [0.0, 5.0])
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-5, 1e-4])  # a2 / J, below _POINTS' 0.002
+    def test_tiny_a2_edges(self, ratio, a1_per_a2):
+        a2 = ratio * 5.0
+        gen = Generator(500.0, 100.0, 5.0, 95.0, a1_per_a2 * a2, a2)
+        tau_nominal = np.pi / a2
+        tau = gen.pi_duration()
+        assert abs(tau - tau_nominal) <= 1e-6 * tau_nominal, f"pi timing {tau!r}"
+        g = gen.gate(tau)
+        assert gen.transfer(tau) == pytest.approx(abs(g[2, 3]) ** 2, abs=1e-14)
+        readout = 1.0 - abs(g[0, 0] + g[1, 1] + g[3, 2] + g[2, 3]) / 4.0
+        assert abs(gen.objective(tau) - readout) <= 1e-15
+        # the phases reach max|lam| tau / 2 ~ 3e8 rad at a2 / J = 1e-6; measured up to 0.14 of tol
+        tol = 16.0 * np.finfo(float).eps * np.max(np.abs(gen.lam)) * tau / 2.0
+        error = float(np.max(np.abs(g - scipy.linalg.expm(0.5j * gen.matrix_b * tau))))
+        assert error <= tol, f"error vs expm {error:.3e} exceeds {tol:.3e}"
+
+    def test_pi_timing_rejects_a_tiny_a2_that_a1_detunes(self):
+        # at a1 = 0.5 the a1-dressed 10/11 detuning, about 3.8e-6, rivals a2 = 5e-6: the
+        # transfer peaks at 0.632 on the bracket's lower edge, outside it
+        gen = Generator(500.0, 100.0, 5.0, 95.0, 0.5, 5e-6)
+        with pytest.raises(CalibrationError, match="no interior transfer maximum"):
+            gen.pi_duration()
+
     @pytest.mark.parametrize(
         "point, tau",
         [
@@ -482,7 +507,9 @@ class TestInlineRangeChecks:
             calls.append(name)
             check_param(name, value)
 
-        monkeypatch.setattr(spingate.propagator, "check_param", recorded)
+        # `Generator`'s fallback reaches core's through the records it builds
+        for module in (spingate.core, spingate.propagator):
+            monkeypatch.setattr(module, "check_param", recorded)
         return calls
 
     @pytest.mark.parametrize("value", _EDGES)
@@ -515,11 +542,16 @@ class TestInlineRangeChecks:
 class TestUnitarityGuard:
     def test_overflowing_phases_raise_instead_of_returning_nan(self, gen12):
         # lam tau / 2 overflows; the check runs on Python floats before numpy could warn
-        # (the suite turns a warning into an error), with the message a nan defect had
+        # (the suite turns a warning into an error), with the message a nan defect had;
+        # a numpy scalar duration prints as a plain number
         message = r"^gate at tau=1e\+308 is not unitary \(defect nan\)$"
-        for frame in ("raw", "primed"):
-            with pytest.raises(RuntimeError, match=message):
-                gen12.gate(1e308, frame)
+        for tau in (1e308, np.float64(1e308)):
+            for frame in ("raw", "primed"):
+                with pytest.raises(RuntimeError, match=message):
+                    gen12.gate(tau, frame)
+            for readout in (gen12.transfer, gen12.objective):
+                with pytest.raises(RuntimeError, match=message):
+                    readout(tau)
 
     @pytest.mark.parametrize(
         "tau, error",
@@ -534,10 +566,13 @@ class TestUnitarityGuard:
         assert str(got.value) == str(expected.value)
 
     def test_overflowing_time_series_and_frame_raise_without_warning(self, gen12):
-        with pytest.raises(ValueError, match="^times and amplitudes must be finite$"):
-            gen12.timeseries(digital_state("11"), 1e308, 2e307, "raw")
-        with pytest.raises(ValueError, match=r"^frame phases overflow at t = 1e\+308$"):
-            frame_phase_factors(gen12, np.array([[0.0], [1e308]]))
+        message = r"^frame phases overflow at t = 1e\+308$"
+        for number in (float, np.float64):
+            with pytest.raises(ValueError, match="^times and amplitudes must be finite$"):
+                gen12.timeseries(digital_state("11"), number(1e308), number(2e307), "raw")
+            for t in (number(1e308), np.array([[0.0], [1e308]])):
+                with pytest.raises(ValueError, match=message):
+                    frame_phase_factors(gen12, t)
         # the largest |B_kk| / 2 is about 410, so 1e305 is still finite
         assert np.isfinite(frame_phase_factors(gen12, 1e305)).all()
 

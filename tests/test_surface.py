@@ -122,7 +122,7 @@ def _package_sources() -> dict[str, str]:
 
 def test_range_rules_are_stated_only_in_core():
     names = ("omega1", "omega2", "coupling_j", "carrier", "a1", "a2", "duration", "sample_dt",
-             "frame")
+             "frame", "max_evaluations", "objective_tol")
     pattern = re.compile(rf"\b({'|'.join(names)}) must be")
     stated = [
         f"{name}: {match.group(0)}"
