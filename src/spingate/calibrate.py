@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -121,7 +122,7 @@ class SearchSpec:
         if self.recalibrate_duration and "duration" in free:
             raise ValueError("recalibrate_duration needs 'duration' left out of free")
         object.__setattr__(self, "free", free)
-        if not 0.0 < self.rel_window < np.inf:
+        if not 0.0 < self.rel_window <= float_info.max:  # an int above it is no float
             raise ValueError(
                 f"search window for {', '.join(free)} must be positive and finite, "
                 f"got {self.rel_window}"
@@ -180,6 +181,8 @@ def tune_pure_cn(params: SystemParams, pulse: PulseSpec, spec: SearchSpec) -> Tu
     rows, scale = [*map(_FREE_ORDER.index, spec.free), 3], np.array([*windows, 1.0])[:, None, None]
     evaluations, best_val, best_point = 0, np.inf, None
     last = [None, None]  # (omega1, a1, a2) of the last scored point, and its Generator
+    # kept beside Generator's own memo, as it skips assembling B: without it a cold 77-point
+    # duration-only search took 1.25-1.30 ms, not 1.08-1.13 ms (Xeon, Python 3.11)
 
     def evaluate(z: tuple) -> tuple:
         """Objective at box point z, and the (Generator, point) the model there reads."""

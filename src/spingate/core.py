@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf, pi, remainder
+from sys import float_info
 from typing import Sequence
 
 import numpy as np
@@ -57,19 +58,24 @@ class GcnPatternError(ValueError):
         self.indices = indices
 
 
+#: for a float x, x <= _MAX is x < inf; an int above it fails it too, where `< inf` would pass
+#: it on to overflow when it is converted to a float
+_MAX = float_info.max
+
+
 def _positive(x) -> bool:
-    return 0.0 < x < inf
+    return 0.0 < x <= _MAX
 
 
 def _nonnegative(x) -> bool:
-    return 0.0 <= x < inf
+    return 0.0 <= x <= _MAX
 
 
 #: the range rule of each named value: a test and the requirement it states
 _RULES = {
     "omega1": (_positive, "must be positive and finite"),
     "omega2": (_positive, "must be positive and finite"),
-    "coupling_j": (lambda x: -inf < x < inf, "must be finite"),
+    "coupling_j": (lambda x: -_MAX <= x <= _MAX, "must be finite"),
     "carrier": (_positive, "must be positive and finite"),
     "a1": (_nonnegative, "must be >= 0"),
     "a2": (_nonnegative, "must be >= 0"),
@@ -77,8 +83,10 @@ _RULES = {
     "sample_dt": (_positive, "must be positive and finite"),
     "frame": (lambda x: x in ("raw", "primed"), "must be 'raw' or 'primed'"),
     # a nan or inf budget is never spent; a nan tolerance is never met, an inf one at once
-    "max_evaluations": (lambda x: isinstance(x, (int, np.integer)) and x >= 1,
-                        "must be an integer >= 1"),
+    "max_evaluations": (
+        lambda x: isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1,
+        "must be an integer >= 1",
+    ),
     "objective_tol": (_positive, "must be positive and finite"),
     # what a config line can hold, so an emitted config reloads the same path
     "out": (

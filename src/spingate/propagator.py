@@ -21,6 +21,7 @@ the eigensystem.
 from __future__ import annotations
 
 from math import cos, hypot, inf, sin
+from sys import float_info
 
 import numpy as np
 
@@ -51,8 +52,15 @@ _PI_REL_TOL = 1e-6
 #: least transfer a pi-pulse must reach: it moves at least half the population
 _PI_MIN_TRANSFER = 0.5
 
+#: core's range rules' bound, restated for the comparison chains: for a float x, x <= _MAX is
+#: x < inf, and an int above it fails it too rather than overflow when converted to a float
+_MAX = float_info.max
+
 # a Python float, so the durations it produces print as plain numbers
 _INV_PHI = float((np.sqrt(5.0) - 1.0) / 2.0)
+
+#: `Generator`'s last diagonalization, (B's bytes, B, lam, V), replaced whole by each miss
+_LAST = (None, None, None, None)
 
 
 class Generator:
@@ -69,6 +77,10 @@ class Generator:
     The one unitarity check is here: max|V V^T - I| <= 1e-9, so f = ||V V^T - I||_2
     = ||V^T V - I||_2 <= 4e-9, every U^dag U has its eigenvalues in [(1-f)^2, (1+f)^2],
     and the gate's defect at any tau is at most 2f + f^2 <= 8e-9 plus rounding.
+    The last eigensystem that passed the check is kept, keyed on the exact bytes of
+    B: a build of the same B reuses it, bit for bit, with neither `eigh` nor the
+    check, so consecutive calls on one point (pi timing, tomography, the
+    objective) diagonalize once.  One entry only, so points that alternate miss.
 
     Structure (basis order 00, 01, 10, 11), with the carrier's detuning
     delta = carrier - (omega2 - J):
@@ -84,14 +96,18 @@ class Generator:
     def __init__(
         self, omega1: float, omega2: float, coupling_j: float, carrier: float, a1: float, a2: float
     ):
+        global _LAST
         # check_param's rules in one chain: a call per name would cost a search 3-5% of its speed
         if not (
-            0.0 < omega1 < inf and 0.0 < omega2 < inf and -inf < coupling_j < inf
-            and 0.0 < carrier < inf and 0.0 <= a1 < inf and 0.0 <= a2 < inf
+            0.0 < omega1 <= _MAX and 0.0 < omega2 <= _MAX and -_MAX <= coupling_j <= _MAX
+            and 0.0 < carrier <= _MAX and 0.0 <= a1 <= _MAX and 0.0 <= a2 <= _MAX
         ):
             SystemParams(omega1, omega2, coupling_j)
             PulseSpec(carrier, a1, a2, 0.0)
-        d3 = 2.0 * (carrier - (omega2 - coupling_j))
+        try:
+            d3 = 2.0 * (carrier - (omega2 - coupling_j))
+        except OverflowError:  # ints in range whose exact difference no float holds
+            d3 = inf
         d0 = -2.0 * (omega2 - omega1 - 2.0 * coupling_j) - d3
         d1 = -2.0 * (omega2 - omega1)
         # a1 and a2 are finite by the chain above, and d3 is finite whenever d0 is,
@@ -104,6 +120,11 @@ class Generator:
         b[0, 2] = b[2, 0] = a1
         b[1, 3] = b[3, 1] = a1
         b[2, 3] = b[3, 2] = a2
+        key = b.tobytes()
+        last = _LAST
+        if last[0] == key:  # the V of a memo entry has passed the check below
+            self.matrix_b, self.lam, self.v = last[1:]
+            return
         # looked up per call, so a wrapper put on numpy.linalg sees every one
         lam, v = np.linalg.eigh(b)
         # max |V V^T - I| over its 10 distinct entries, in Python floats: half numpy's cost
@@ -126,6 +147,7 @@ class Generator:
         b.setflags(False)
         lam.setflags(False)
         v.setflags(False)
+        _LAST = key, b, lam, v
         self.matrix_b, self.lam, self.v = b, lam, v
 
     def gate(self, tau: float, frame: str = "raw") -> np.ndarray:
@@ -148,7 +170,7 @@ class Generator:
     def _check_duration(self, tau: float) -> None:
         """Raise the duration `ValueError`, then a nan-defect `RuntimeError` if a phase lam tau/2
         overflows (lam ascends, so its ends bound the rest) before numpy warns or math.cos fails."""
-        if not 0.0 <= tau < inf:
+        if not 0.0 <= tau <= _MAX:
             check_param("duration", tau)
         if not 0.5 * max(-float(self.lam[0]), float(self.lam[3])) * float(tau) < inf:
             raise RuntimeError(f"gate at tau={float(tau)!r} is not unitary (defect nan)")

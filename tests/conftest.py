@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spingate import PulseSpec, SystemParams, calibrate_pi_duration
+from spingate import PulseSpec, SystemParams, calibrate_pi_duration, propagator
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +48,15 @@ def eigh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def forget_eigensystem():
+    """Empties `Generator`'s memo of the last eigensystem before each test, so `eigh`
+    counts do not depend on test order; call it to empty the memo again mid-test."""
+
+    def forget():
+        propagator._LAST = (None, None, None, None)
+
+    forget()
+    return forget

@@ -156,6 +156,11 @@ class TestSearchSpec:
         with pytest.raises(ValueError, match="window for omega1, a2 must be positive and finite"):
             SearchSpec(free=("omega1", "a2"), rel_window=window)
 
+    def test_huge_int_window_rejected(self):
+        # it used to pass, then overflow in the search's float(rel_window)
+        with pytest.raises(ValueError, match="^search window for a2 must be positive and finite"):
+            SearchSpec(free=("a2",), rel_window=10**400)
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-6])
     def test_bad_objective_tol_rejected(self, tol):
         # nan used to burn the whole budget, inf to report convergence at once
@@ -166,6 +171,12 @@ class TestSearchSpec:
     def test_bad_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="max_evaluations must be an integer >= 1"):
             SearchSpec(free=("a2",), max_evaluations=budget)
+
+    def test_bool_budget_rejected(self):
+        # a bool is an int, and True would have been a budget of 1
+        with pytest.raises(ValueError) as excinfo:
+            SearchSpec(free=("a2",), max_evaluations=True)
+        assert str(excinfo.value) == "max_evaluations must be an integer >= 1, got True"
 
     @pytest.mark.parametrize(
         "field, message",
@@ -273,9 +284,10 @@ class TestTunePureCn:
 #: calls it makes, objective it must reach); a change in a count means the
 #: arithmetic of a step changed, not only its speed.  Consecutive points with the
 #: same omega1, a1 and a2 share one Generator, so the duration-only search
-#: diagonalizes once.  The objectives are those the Nelder-Mead search that this
-#: search replaced reached (6.99e-7, 6.81e-7, 6.69e-6, 5.68e-7), and for the
-#: a2-only search that search's 0.2894839332849036 plus 1e-9.
+#: diagonalizes once, counted with `Generator`'s own memo emptied first.  The
+#: objectives are those the Nelder-Mead search that this search replaced reached
+#: (6.99e-7, 6.81e-7, 6.69e-6, 5.68e-7), and for the a2-only search that
+#: search's 0.2894839332849036 plus 1e-9.
 SEARCHES = {
     "tie_a1": ("params12", dict(free=("omega1", "a2", "duration"), tie_a1=True), 6, 6, 6.99e-7),
     "a2_only": ("params12", dict(free=("a2",)), 74, 74, 0.2894839332849036 + 1e-9),
@@ -321,9 +333,11 @@ class TestLeanSearchEvaluation:
         result = tune_pure_cn(params, pulse, spec)
         assert result.objective <= ceiling, f"objective {result.objective!r} above {ceiling!r}"
 
-    def test_one_eigh_per_evaluation(self, search, eigh_calls):
-        # one per change of omega1, a1 or a2, so at most one per evaluation
+    def test_one_eigh_per_evaluation(self, search, eigh_calls, forget_eigensystem):
+        # one per change of omega1, a1 or a2, so at most one per evaluation; the memo
+        # would otherwise hold the start point from the fixture's pi timing
         params, pulse, spec, _, eighs, _ = search
+        forget_eigensystem()
         result = tune_pure_cn(params, pulse, spec)
         assert len(eigh_calls) == eighs
         assert len(eigh_calls) <= result.evaluations
@@ -350,13 +364,16 @@ class TestLeanSearchEvaluation:
         # no point is scored twice, in a row or apart
         assert len({(gen.drive, tau) for gen, tau in scored}) == evaluations
 
-    def test_generator_is_kept_per_search(self, params12, pulse12, eigh_calls):
+    def test_generator_is_kept_per_search(
+        self, params12, pulse12, eigh_calls, forget_eigensystem
+    ):
         # a duration-only search scores every point on one Generator, built anew per search
         spec = SearchSpec(free=("duration",), max_evaluations=40)
         first = tune_pure_cn(params12, pulse12, spec)
         assert first.evaluations == 40
         assert len(eigh_calls) == 1
         eigh_calls.clear()
+        forget_eigensystem()  # so the second search's build is counted, not `Generator`'s memo
         assert tune_pure_cn(params12, pulse12, spec) == first
         assert len(eigh_calls) == 1
 

@@ -372,8 +372,9 @@ class TestCalibrate:
         assert code == 1
         values, _ = read_report(out)
         assert values["evaluations"] == "74"
-        # each point moves a2, and one more for the pi timing of the 'auto' duration
-        assert len(eigh_calls) == 75
+        # each point moves a2; the pi timing of the 'auto' duration is at the start point,
+        # whose eigensystem the search's first build reuses
+        assert len(eigh_calls) == 74
 
     def test_recalibrated_duration_search(self, tmp_path):
         out = tmp_path / "recal.cfg"
@@ -499,8 +500,8 @@ class TestCalibrate:
         )
         assert code == 0
         values, _ = read_report(out)
-        # one more for the pi timing of the 'auto' starting duration
-        assert len(eigh_calls) == int(values["evaluations"]) + 1
+        # the pi timing of the 'auto' starting duration shares the start point's eigensystem
+        assert len(eigh_calls) == int(values["evaluations"])
 
 
 class TestSweep:

@@ -1,11 +1,13 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -21,6 +23,7 @@ from spingate import (
     digital_state,
     evolve_rk4,
     frame_phase_factors,
+    pure_cn_objective,
     run_timeseries,
     superposition_state,
     tomography,
@@ -598,7 +601,7 @@ class TestUnitarityGuard:
         with pytest.raises(RuntimeError, match=message):
             calibrate_pi_duration(params12, PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0))
 
-    def test_eigenvector_bound_keeps_every_gate_unitary(self, monkeypatch):
+    def test_eigenvector_bound_keeps_every_gate_unitary(self, monkeypatch, forget_eigensystem):
         # V (1 + s) has defect (1 + s)^2 - 1 ~ 2s: 9.8e-10 builds, 1.2e-9 does not
         self._skew(monkeypatch, 1.0 + 4.9e-10)
         gen = Generator(500.0, 100.0, 5.0, 95.0, 0.5, 0.1)
@@ -607,9 +610,164 @@ class TestUnitarityGuard:
             gate = gen.gate(tau)
             assert np.abs(gate.conj().T @ gate - np.eye(4)).max() <= 1e-8
         monkeypatch.undo()  # so the next scale applies to eigh's own eigenvectors
+        forget_eigensystem()  # and the next build runs it rather than reuse the last one
         self._skew(monkeypatch, 1.0 + 6e-10)
         with pytest.raises(RuntimeError, match="^eigenvectors of B are not orthonormal"):
             Generator(500.0, 100.0, 5.0, 95.0, 0.5, 0.1)
+
+
+_A12 = (500.0, 100.0, 5.0, 95.0, 0.5, 0.1)
+_B12 = (500.0, 100.0, 5.0, 95.0, 0.5, 0.1 + 1e-9)
+
+
+def _spectral_bytes(gen: Generator) -> tuple:
+    """B, lam and V of `gen`, as bytes: equal bytes are bit-identical arrays."""
+    return gen.matrix_b.tobytes(), gen.lam.tobytes(), gen.v.tobytes()
+
+
+class TestEigensystemMemo:
+    """`Generator` keeps the last eigensystem, keyed on B's bytes: one `eigh` per point
+    across consecutive builds, bit-identical to a cold build."""
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(point=_POINTS, fraction=st.floats(0.0, 1.5))
+    def test_hit_is_bit_identical_to_a_cold_build(self, forget_eigensystem, point, fraction):
+        omega1, omega2, j, a1, ratio = point
+        args = (omega1, omega2, j, omega2 - j, a1, ratio * j)
+        tau = fraction * np.pi / (ratio * j)
+        forget_eigensystem()
+        cold = Generator(*args)
+        hit = Generator(*args)
+        assert hit.v is cold.v  # the memo's arrays, not a second eigh
+        forget_eigensystem()
+        fresh = Generator(*args)
+        assert fresh.v is not cold.v
+        for gen in (hit, fresh):
+            assert _spectral_bytes(gen) == _spectral_bytes(cold)
+            assert gen.gate(tau, "primed").tobytes() == cold.gate(tau, "primed").tobytes()
+            assert gen.pi_duration() == cold.pi_duration()
+            assert gen.objective(tau) == cold.objective(tau)
+
+    def test_one_entry_only(self, eigh_calls):
+        # A, B, A: the second build of A finds B in the memo
+        for args in (_A12, _B12, _A12):
+            Generator(*args)
+        assert len(eigh_calls) == 3
+        Generator(*_A12)
+        assert len(eigh_calls) == 3
+
+    def test_signed_zero_misses(self, eigh_calls):
+        plus = Generator(500.0, 100.0, 5.0, 95.0, 0.0, 0.1)
+        minus = Generator(500.0, 100.0, 5.0, 95.0, -0.0, 0.1)
+        assert len(eigh_calls) == 2
+        assert math.copysign(1.0, minus.matrix_b[0, 2]) == -1.0
+        assert plus.matrix_b.tobytes() != minus.matrix_b.tobytes()
+
+    def test_ints_that_give_the_same_b_hit(self, eigh_calls):
+        floats = Generator(500.0, 100.0, 5.0, 95.0, 0.0, 1.0)
+        ints = Generator(500, 100, 5, 95, 0, 1)
+        assert len(eigh_calls) == 1
+        assert _spectral_bytes(ints) == _spectral_bytes(floats)
+
+    def test_a_raising_build_leaves_the_memo(self, monkeypatch, eigh_calls):
+        kept = Generator(*_A12)
+        memo = spingate.propagator._LAST
+        with monkeypatch.context() as patch:
+            original = np.linalg.eigh
+            patch.setattr(np.linalg, "eigh", lambda b: (original(b)[0], original(b)[1] * 1.01))
+            for args in (_B12, _A12[:5] + (0.2,)):
+                with pytest.raises(RuntimeError, match="^eigenvectors of B are not orthonormal"):
+                    Generator(*args)
+        assert spingate.propagator._LAST is memo
+        eigh_calls.clear()
+        assert Generator(*_A12).v is kept.v
+        assert eigh_calls == []
+        # the point that raised was never stored: its clean build runs eigh once
+        clean = Generator(*_B12)
+        assert len(eigh_calls) == 1
+        assert np.abs(clean.v @ clean.v.T - np.eye(4)).max() <= 1e-9
+
+    def test_public_calls_on_one_point_diagonalize_once(self, params12, eigh_calls):
+        template = PulseSpec(carrier=95.0, a1=0.5, a2=0.1, duration=0.0)
+        pulse = replace(template, duration=calibrate_pi_duration(params12, template))
+        tomography(params12, pulse, frame="primed")
+        pure_cn_objective(params12, pulse)
+        assert len(eigh_calls) == 1
+
+    def test_threads_alternating_two_points_match_serial_builds(self, forget_eigensystem):
+        serial = {}
+        for args in (_A12, _B12):
+            forget_eigensystem()
+            serial[args] = _spectral_bytes(Generator(*args))
+        matches, rounds = [], 1000
+
+        def build(order):
+            for i in range(rounds):
+                args = order[i % 2]
+                matches.append(_spectral_bytes(Generator(*args)) == serial[args])
+
+        # more threads than the machine is likely to have cores, switching as often as it can
+        threads = [
+            threading.Thread(target=build, args=(order,))
+            for order in ((_A12, _B12), (_B12, _A12)) * 3
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(matches) == len(threads) * rounds and all(matches)
+
+
+class TestHugeInts:
+    """A Python int above the largest float fails the range rule it breaks, with its
+    ValueError, rather than escaping as OverflowError when converted."""
+
+    HUGE = 10**400
+
+    @pytest.mark.parametrize("name", list(_POINT12))
+    def test_generator(self, name):
+        for value in (self.HUGE, -self.HUGE):
+            expected = _first_error(lambda: check_param(name, value))
+            assert expected is not None and expected.startswith(f"{name} must be")
+            with pytest.raises(ValueError) as excinfo:
+                Generator(**{**_POINT12, name: value})
+            assert str(excinfo.value) == expected
+
+    def test_generator_with_int_detunings_beyond_a_float(self):
+        # each input is in range, but carrier - (omega2 - J) is an int of about -2e308
+        with pytest.raises(ValueError, match="^generator contains non-finite entries$"):
+            Generator(500, 10**308, -(10**308), 95, 0, 0)
+
+    @pytest.mark.parametrize(
+        "readout",
+        [
+            lambda gen, tau: gen.gate(tau, "raw"),
+            lambda gen, tau: gen.gate(tau, "primed"),
+            lambda gen, tau: gen.transfer(tau),
+            lambda gen, tau: gen.objective(tau),
+            lambda gen, tau: gen.timeseries(digital_state("11"), tau, 1.0),
+        ],
+        ids=["gate-raw", "gate-primed", "transfer", "objective", "timeseries"],
+    )
+    def test_duration(self, gen12, readout):
+        message = rf"^duration must be finite and >= 0, got {self.HUGE}$"
+        with pytest.raises(ValueError, match=message):
+            readout(gen12, self.HUGE)
+
+    def test_pulse_spec(self):
+        message = rf"^duration must be finite and >= 0, got {self.HUGE}$"
+        with pytest.raises(ValueError, match=message):
+            PulseSpec(95.0, 0.5, 0.1, self.HUGE)
+        # the largest float is finite, and so is the int it equals
+        assert PulseSpec(95.0, 0.5, 0.1, int(sys.float_info.max)).duration > 1e308
 
 
 class TestEvolveRk4:
